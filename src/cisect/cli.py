@@ -4,11 +4,13 @@ Subcommands map one-to-one onto library entry points; all exact values print
 in decimal, irrational bounds print with 12 significant digits in CSV and 30
 on the terminal.  Exit codes: 0 when every applicable verdict passes, 1 when
 any applicable verdict fails, 2 on input or parse errors (with a single-line
-diagnostic on stderr).
+diagnostic on stderr), and 141 (128 + SIGPIPE), silently, when the reader of
+standard output goes away before the output is written.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -253,7 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush inside the try so a closed pipe is reported here, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except (CisectError, ValueError) as exc:
         print(f"cisect: {exc}", file=sys.stderr)
         return 2

@@ -105,10 +105,5 @@ class InvalidInput(CisectError, ValueError):
     """A numeric input is outside the formula's domain."""
 
 
-class ArithmeticOverflow(CisectError, OverflowError):
-    """Kept for contract completeness; Python integers never wrap, so the
-    engine has no reachable overflow path."""
-
-
 class DimensionDriftWarning(UserWarning):
     """A point count drifted far from the expectation for the asserted dimension."""

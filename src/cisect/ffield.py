@@ -14,6 +14,7 @@ interchangeable.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -254,6 +255,15 @@ class FieldSpec:
             e >>= 1
         return result
 
+    def dot_idx(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """Dot product sum a_i * b_i of two index vectors of equal length."""
+        if self.k == 1:
+            return sum(map(operator.mul, a, b)) % self.p
+        acc = 0
+        for x, y in zip(a, b):
+            acc = self.add_idx(acc, self.mul_idx(x, y))
+        return acc
+
     # -- element construction ----------------------------------------------
 
     def element(self, value: int | Sequence[int]) -> "FieldElement":
@@ -377,27 +387,3 @@ def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Fiel
         if not _is_irreducible(mod, p):
             raise NotIrreducible(f"modulus {mod} is reducible over F_{p}")
     return FieldSpec(p, k, mod)
-
-
-def field_arith(a: FieldElement, b: FieldElement | None, op: str) -> FieldElement:
-    """Functional arithmetic dispatcher; ``op`` is one of add/sub/mul/neg."""
-    if op == "neg":
-        return -a
-    if b is None:
-        raise ValueError(f"binary op {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def enumerate_field(spec: FieldSpec) -> Iterator[FieldElement]:
-    """All elements in index order: 0 first, 1 second, then the rest."""
-    return spec.elements()

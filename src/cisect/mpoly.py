@@ -32,9 +32,9 @@ from .errors import (
     PolyParseError,
 )
 from .ffield import FieldElement, FieldSpec
+from .space import BUDGET
 
 MAX_TERM_DEGREE = 1 << 16
-_AFFINE_BUDGET = 1 << 26
 _NUMPY_CHUNK = 1 << 18
 
 
@@ -404,7 +404,7 @@ def count_affine_zeros(f: SparsePolynomial) -> int:
     q = f.field.q
     n = f.nvars
     total = q**n
-    if total > _AFFINE_BUDGET:
+    if total > BUDGET:
         raise BudgetExceeded(f"affine scan of {q}^{n} points exceeds the 2^26 cap")
     if f.is_zero:
         return total

@@ -14,16 +14,23 @@ The scan sweeps the whole tuple space (affine coefficient tuples, or products
 of canonical projective representatives) in a fixed enumeration order, so its
 reports are deterministic and splittable across workers by index range.
 
+Everything here rests on one predicate: does the covector w vanish at the
+point x?  A covector's incidence mask over a point list has bit i set iff w
+annihilates the i-th point, and the points of a section are the AND of its
+rows' masks.  Scaling w by a nonzero constant leaves its mask unchanged, so
+masks are built once per projective covector class and shared by section
+counts, the scan's "which points lie on this section" filter and the census.
+
 Second-moment and census sums run over ALL affine covector tuples, including
 linearly dependent ones, and count section points projectively; that reading
 makes the moment identity exact, which is the cross-check the acceptance
-suite pins.  Instead of re-walking the tuple space, both sums group covectors
-by their incidence mask on V(F_q) and fold the mask distribution s+1 times;
+suite pins.  Instead of re-walking the tuple space, both sums take the mask
+distribution over all q^{n+1} covectors (each projective class weighted
+q - 1, plus the zero covector with the full mask) and fold it s+1 times;
 this is the same sum reorganized term-by-term, not a closed form.
 """
 from __future__ import annotations
 
-import itertools
 import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
@@ -40,10 +47,15 @@ from .errors import (
 from .ffield import FieldElement, FieldSpec
 from .linalg import rank_idx
 from .mpoly import eval_idx
-from .space import ProjPoint, count_projective, iter_affine_idx, iter_projective_idx
+from .space import (
+    BUDGET,
+    ProjPoint,
+    count_projective,
+    iter_affine_idx,
+    iter_projective_idx,
+)
 from .variety import VarietyDescriptor, _jacobian_idx, _points_idx, extension_spec
 
-TUPLE_BUDGET = 1 << 26
 _PARALLEL_THRESHOLD = 1 << 12
 
 
@@ -106,43 +118,45 @@ def _check_gamma(v: VarietyDescriptor, gamma: SectionTuple) -> tuple[tuple[int, 
     return rows
 
 
-def _count_on_section(
+def _incidence_mask(
+    w: Sequence[int], pts: Sequence[tuple[int, ...]], spec: FieldSpec
+) -> int:
+    """Bit i is set iff the covector w annihilates pts[i]."""
+    dot = spec.dot_idx
+    return sum(1 << i for i, x in enumerate(pts) if not dot(w, x))
+
+
+def _section_mask(
     rows: Sequence[Sequence[int]], pts: Sequence[tuple[int, ...]], spec: FieldSpec
 ) -> int:
-    count = 0
-    if spec.k == 1:
-        p = spec.p
-        for x in pts:
-            for w in rows:
-                t = 0
-                for a, b in zip(w, x):
-                    t += a * b
-                if t % p:
-                    break
-            else:
-                count += 1
-        return count
-    for x in pts:
-        for w in rows:
-            acc = 0
-            for a, b in zip(w, x):
-                acc = spec.add_idx(acc, spec.mul_idx(a, b))
-            if acc:
-                break
-        else:
-            count += 1
-    return count
+    """Bit i is set iff pts[i] lies on every hyperplane of the tuple."""
+    mask = (1 << len(pts)) - 1
+    for w in rows:
+        mask &= _incidence_mask(w, pts, spec)
+    return mask
+
+
+def _projective_key(w: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:
+    """w scaled so that its first nonzero entry is 1; zero stays zero."""
+    for c in w:
+        if c == 1:
+            return w
+        if c:
+            inv = spec.inv_idx(c)
+            return tuple(spec.mul_idx(inv, a) for a in w)
+    return w
 
 
 def section_count(v: VarietyDescriptor, gamma: SectionTuple, ext: int = 1) -> int:
     """|{x in V(F_{q^e}) : gamma . x = 0}| counted projectively."""
     rows = _check_gamma(v, gamma)
     spec = extension_spec(v, ext)
-    return _count_on_section(rows, _points_idx(v, ext), spec)
+    return _section_mask(rows, _points_idx(v, ext), spec).bit_count()
 
 
 def _scan_data(v: VarietyDescriptor, max_ext: int):
-    """Per-extension (ext, spec, points, evaluated Jacobian rows)."""
+    """Per extension level: (ext, spec, points, evaluated Jacobian rows, mask
+    memo keyed by projective covector class)."""
     out = []
     for e in range(1, max_ext + 1):
         spec = extension_spec(v, e)
@@ -151,7 +165,7 @@ def _scan_data(v: VarietyDescriptor, max_ext: int):
         evaluated = [
             [[eval_idx(d, x, spec) for d in row] for row in jac] for x in pts
         ]
-        out.append((e, spec, pts, evaluated))
+        out.append((e, spec, pts, evaluated, {}))
     return out
 
 
@@ -161,35 +175,24 @@ def _classify(
     data,
     full_rank: int,
 ):
-    """(classification, witness point, witness ext) for one covector tuple."""
+    """(classification, witness point, witness ext) for one covector tuple;
+    the witness is the first failing point in enumeration order."""
     if rank_idx(rows, v.field) < len(rows):
         return SectionClass.DEGENERATE, None, None
-    for e, spec, pts, jacrows in data:
-        if spec.k == 1:
-            p = spec.p
-            for x, jr in zip(pts, jacrows):
-                for w in rows:
-                    t = 0
-                    for a, b in zip(w, x):
-                        t += a * b
-                    if t % p:
-                        break
-                else:
-                    stacked = [list(r) for r in jr] + [list(w) for w in rows]
-                    if rank_idx(stacked, spec) < full_rank:
-                        return SectionClass.RANK_FAIL, x, e
-        else:
-            for x, jr in zip(pts, jacrows):
-                for w in rows:
-                    acc = 0
-                    for a, b in zip(w, x):
-                        acc = spec.add_idx(acc, spec.mul_idx(a, b))
-                    if acc:
-                        break
-                else:
-                    stacked = [list(r) for r in jr] + [list(w) for w in rows]
-                    if rank_idx(stacked, spec) < full_rank:
-                        return SectionClass.RANK_FAIL, x, e
+    keys = [_projective_key(w, v.field) for w in rows]
+    for e, spec, pts, jacrows, memo in data:
+        on = (1 << len(pts)) - 1
+        for key in keys:
+            mask = memo.get(key)
+            if mask is None:
+                mask = memo[key] = _incidence_mask(key, pts, spec)
+            on &= mask
+        while on:
+            low = on & -on
+            on ^= low
+            i = low.bit_length() - 1
+            if rank_idx([*jacrows[i], *rows], spec) < full_rank:
+                return SectionClass.RANK_FAIL, pts[i], e
     return SectionClass.PASS, None, None
 
 
@@ -212,7 +215,7 @@ def section_smooth_check(
         witness = ProjPoint(tuple(spec.from_index(i) for i in pt))
     return SectionVerdict(
         gamma=gamma,
-        point_count=_count_on_section(rows, _points_idx(v, 1), v.field),
+        point_count=_section_mask(rows, _points_idx(v, 1), v.field).bit_count(),
         classification=kind,
         witness=witness,
         witness_ext=e,
@@ -294,9 +297,8 @@ def _iter_tuples(
 
 
 def _scan_chunk(args) -> tuple[int, int, int, list[ScanWitness]]:
-    v, mode, max_ext, start, stop = args
+    v, mode, data, start, stop = args
     s = v.asserted_sing_dim
-    data = _scan_data(v, max_ext)
     full = v.codim + s + 1
     pass_count = rank_fail = degenerate = 0
     witnesses: list[ScanWitness] = []
@@ -345,7 +347,7 @@ def bertini_scan(
         total = q ** (v.nvars * (s + 1))
     else:
         total = count_projective(q, n) ** (s + 1)
-    if total > TUPLE_BUDGET:
+    if total > BUDGET:
         raise BudgetExceeded(f"{total} section tuples exceed the 2^26 scan cap")
 
     d_bert = bertini_degree(v.minor_degree, r, s, v.degree)
@@ -353,16 +355,13 @@ def bertini_scan(
     pass_floor = (q - d_bert) ** (s + 1) * q ** (n * (s + 1)) if floor_applicable else 0
     fail_ceiling = zero_bound(q, (d_bert,) * (s + 1), (n,) * (s + 1))
 
-    # prime the per-extension caches before forking so workers inherit them
-    data_sizes = [len(pts) for _, _, pts, _ in _scan_data(v, max_ext)]
-    del data_sizes
-
+    data = _scan_data(v, max_ext)
     if workers == 1 or total < _PARALLEL_THRESHOLD:
-        parts = [_scan_chunk((v, mode, max_ext, 0, total))]
+        parts = [_scan_chunk((v, mode, data, 0, total))]
     else:
         step = -(-total // workers)
         ranges = [
-            (v, mode, max_ext, lo, min(lo + step, total))
+            (v, mode, data, lo, min(lo + step, total))
             for lo in range(0, total, step)
         ]
         ctx = multiprocessing.get_context("fork")
@@ -399,36 +398,15 @@ def bertini_scan(
 
 @lru_cache(maxsize=64)
 def _mask_counts(v: VarietyDescriptor) -> tuple[tuple[int, int], ...]:
-    """Distribution of incidence masks: for each covector w of F_q^{n+1}, bit i
-    of the mask is set iff w annihilates the i-th rational point of V."""
+    """Distribution of incidence masks over every covector w of F_q^{n+1}:
+    one mask per projective class, weighted by its q - 1 nonzero multiples,
+    plus the zero covector, which annihilates every point."""
     pts = _points_idx(v, 1)
     spec = v.field
-    counts: dict[int, int] = {}
-    if spec.k == 1:
-        p = spec.p
-        for w in itertools.product(range(p), repeat=v.nvars):
-            m = 0
-            bit = 1
-            for x in pts:
-                t = 0
-                for a, b in zip(w, x):
-                    t += a * b
-                if t % p == 0:
-                    m |= bit
-                bit <<= 1
-            counts[m] = counts.get(m, 0) + 1
-    else:
-        for w in itertools.product(range(spec.q), repeat=v.nvars):
-            m = 0
-            bit = 1
-            for x in pts:
-                acc = 0
-                for a, b in zip(w, x):
-                    acc = spec.add_idx(acc, spec.mul_idx(a, b))
-                if acc == 0:
-                    m |= bit
-                bit <<= 1
-            counts[m] = counts.get(m, 0) + 1
+    counts = {(1 << len(pts)) - 1: 1}
+    for w in iter_projective_idx(spec.q, v.ambient_dim):
+        m = _incidence_mask(w, pts, spec)
+        counts[m] = counts.get(m, 0) + spec.q - 1
     return tuple(sorted(counts.items()))
 
 
@@ -452,7 +430,7 @@ def _check_moment_args(v: VarietyDescriptor, s: int) -> int:
     if s < 0:
         raise BadSingularDim(f"moment order s must be >= 0, got {s}")
     total = v.field.q ** (v.nvars * (s + 1))
-    if total > TUPLE_BUDGET:
+    if total > BUDGET:
         raise BudgetExceeded(f"{total} covector tuples exceed the 2^26 moment cap")
     return total
 

@@ -15,8 +15,8 @@ from typing import Iterator, Sequence
 from .errors import ArityMismatch, BudgetExceeded, FieldMismatch
 from .ffield import FieldElement, FieldSpec
 
-AFFINE_BUDGET = 1 << 26
-PROJECTIVE_BUDGET = 1 << 26
+# the one cap on every exhaustive enumeration: points, tuples, covectors
+BUDGET = 1 << 26
 
 
 def count_projective(q: int, r: int) -> int:
@@ -142,7 +142,7 @@ def enumerate_affine(spec: FieldSpec, n: int) -> Iterator[tuple[FieldElement, ..
     """All coordinate tuples of F_q^n; raises BudgetExceeded past 2^26 points."""
     if n < 0:
         raise ValueError("negative dimension")
-    if spec.q**n > AFFINE_BUDGET:
+    if spec.q**n > BUDGET:
         raise BudgetExceeded(f"affine enumeration of {spec.q}^{n} points exceeds the 2^26 cap")
     for point in iter_affine_idx(spec.q, n):
         yield tuple(spec.from_index(i) for i in point)
@@ -152,7 +152,7 @@ def enumerate_projective(spec: FieldSpec, n: int) -> Iterator[ProjPoint]:
     """All canonical points of P^n(F_q); raises BudgetExceeded past 2^26 points."""
     if n < 0:
         raise ValueError("negative dimension")
-    if count_projective(spec.q, n) > PROJECTIVE_BUDGET:
+    if count_projective(spec.q, n) > BUDGET:
         raise BudgetExceeded(f"projective enumeration of P^{n} over F_{spec.q} exceeds the 2^26 cap")
     for point in iter_projective_idx(spec.q, n):
         yield ProjPoint(tuple(spec.from_index(i) for i in point))

@@ -49,7 +49,7 @@ from .mpoly import (
     partial_derivative,
 )
 from .space import (
-    PROJECTIVE_BUDGET,
+    BUDGET,
     ProjPoint,
     count_projective,
     iter_projective_idx,
@@ -235,7 +235,7 @@ def _points_idx(v: VarietyDescriptor, ext: int) -> tuple[tuple[int, ...], ...]:
     """Canonical representatives (packed indices) of V(F_{q^e}) in scan order."""
     spec = extension_spec(v, ext)
     n = v.ambient_dim
-    if count_projective(spec.q, n) > PROJECTIVE_BUDGET:
+    if count_projective(spec.q, n) > BUDGET:
         raise BudgetExceeded(
             f"enumerating P^{n} over a field of order {spec.q} exceeds the 2^26 cap"
         )

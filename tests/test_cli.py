@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cisect.cli import main
@@ -143,6 +148,24 @@ def test_missing_file_is_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("cisect: ")
+
+
+def test_closed_stdout_exits_141_silently():
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cisect", "bertini-scan", var("cone5")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_malformed_variety_file(capsys, tmp_path):

@@ -10,19 +10,30 @@ from cisect import (
     VarietyDescriptor,
     bertini_scan,
     count_points,
+    eval_poly,
     hooley_condition_census,
+    lift_to,
     make_field,
+    rational_points,
     second_moment,
     section_count,
     section_smooth_check,
 )
 from cisect.errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch
+from cisect.linalg import rank_idx
+from cisect.sections import _mask_counts
+from cisect.variety import extension_spec
 
 from conftest import make_cone, make_cubic_surface, make_smooth_quadric, poly
 
 
 def gamma_of(v, *rows):
     return SectionTuple.from_ints(v.field, rows)
+
+
+def gamma_idx(v, rows):
+    """A section tuple from packed element indices, for any base field."""
+    return SectionTuple(tuple(tuple(v.field.from_index(c) for c in w) for w in rows))
 
 
 def test_section_count_known_values():
@@ -184,7 +195,7 @@ def naive_tuple_stats(v, s):
     for rows in itertools.product(
         itertools.product(range(q), repeat=v.nvars), repeat=s + 1
     ):
-        n_gamma = section_count(v, SectionTuple.from_ints(v.field, rows))
+        n_gamma = section_count(v, gamma_idx(v, rows))
         dev = n_points - qs * n_gamma
         moment += dev * dev
         if dev * dev <= threshold:
@@ -230,3 +241,100 @@ def test_census_half_mass_on_smooth_quadric():
     census = hooley_condition_census(v, 0)
     assert 2 * census.satisfying >= census.total
     assert census.half_mass
+
+
+# ---------------------------------------------------------------------------
+# slow oracles: one covector against one point, with FieldElement arithmetic
+
+
+def annihilates(w, x):
+    """True iff sum w_i x_i == 0; w holds indices of elements of x's field."""
+    spec = x.field
+    acc = spec.zero
+    for c, xc in zip(w, x.coords):
+        acc = acc + spec.from_index(c) * xc
+    return acc.is_zero
+
+
+def oracle_scan(v, mode, max_ext=1):
+    """(pass, rank_fail, degenerate, first ten witnesses) by walking every
+    tuple in enumeration order and every point at every extension level."""
+    q, s = v.field.q, v.asserted_sing_dim
+    if mode == "affine":
+        covectors = list(itertools.product(range(q), repeat=v.nvars))
+    else:
+        covectors = [
+            w for w in itertools.product(range(q), repeat=v.nvars)
+            if any(w) and next(c for c in w if c) == 1
+        ]
+        covectors.sort(key=lambda w: (w.index(1), w))  # pivot strata first
+    levels = []
+    for e in range(1, max_ext + 1):
+        spec = extension_spec(v, e)
+        jac = [[lift_to(d, spec) for d in row] for row in v.jacobian]
+        levels.append((e, spec, list(rational_points(v, e)), jac))
+    passed = failed = degenerate = 0
+    witnesses = []
+    for index, rows in enumerate(itertools.product(covectors, repeat=s + 1)):
+        if rank_idx(rows, v.field) < len(rows):
+            degenerate += 1
+            continue
+        witness = None
+        for e, spec, points, jac in levels:
+            for x in points:
+                if not all(annihilates(w, x) for w in rows):
+                    continue
+                stacked = [[eval_poly(d, x.coords).idx for d in row] for row in jac]
+                if rank_idx(stacked + [list(w) for w in rows], spec) < v.codim + s + 1:
+                    witness = (index, rows, tuple(c.idx for c in x.coords), e)
+                    break
+            if witness is not None:
+                break
+        if witness is None:
+            passed += 1
+        else:
+            failed += 1
+            witnesses.append(witness)
+    return passed, failed, degenerate, witnesses[:10]
+
+
+def test_section_count_matches_oracle_over_f4():
+    v = make_cone(4)
+    points = list(rational_points(v))
+    for w in itertools.product(range(4), repeat=v.nvars):
+        expected = sum(annihilates(w, x) for x in points)
+        assert section_count(v, gamma_idx(v, [w])) == expected, w
+
+
+def test_mask_counts_match_all_covectors_over_f4():
+    v = make_cone(4)
+    points = list(rational_points(v))
+    counts = {}
+    for w in itertools.product(range(4), repeat=v.nvars):
+        mask = sum(1 << i for i, x in enumerate(points) if annihilates(w, x))
+        counts[mask] = counts.get(mask, 0) + 1
+    assert _mask_counts(v) == tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize(
+    "v, max_ext",
+    [(make_cone(4), 1), (make_cubic_surface(3), 2)],
+    ids=["cone-f4", "cubic-surface-f3-x2"],
+)
+@pytest.mark.parametrize("mode", ["affine", "projective"])
+def test_scan_matches_oracle_walk(v, max_ext, mode):
+    rep = bertini_scan(v, max_ext=max_ext, mode=mode)
+    passed, failed, degenerate, witnesses = oracle_scan(v, mode, max_ext)
+    assert (rep.pass_count, rep.rank_fail_count, rep.degenerate_count) == (
+        passed, failed, degenerate,
+    )
+    assert [(w.index, w.gamma, w.point, w.ext) for w in rep.witnesses] == witnesses
+
+
+def test_moment_and_census_over_f4():
+    v = make_cone(4)
+    res = second_moment(v, 0)
+    assert res.equal
+    naive_moment, naive_sat = naive_tuple_stats(v, 0)
+    assert res.computed == naive_moment
+    assert hooley_condition_census(v, 0).satisfying == naive_sat
