@@ -1,8 +1,9 @@
-"""Exact row-echelon rank over a finite field.
+"""Exact row-echelon rank and reduced row-echelon forms over a finite field.
 
-Rows are sequences of packed element indices (see ffield.FieldSpec); the
-prime-field branch works directly on integers mod p, which is the hot path
-for every smoothness scan.
+Rows are sequences of packed element indices (see ffield.FieldSpec).  The
+rank's prime-field branch works directly on integers mod p, which is the hot
+path for every smoothness scan; the reduced form keys a subspace by its
+spanning rows.
 """
 from __future__ import annotations
 
@@ -62,3 +63,33 @@ def rank_idx(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:
         if rank == len(work):
             break
     return rank
+
+
+def rref_idx(
+    rows: Sequence[Sequence[int]], spec: FieldSpec
+) -> tuple[tuple[int, ...], ...] | None:
+    """Reduced row-echelon form of independent rows, or None when the rows
+    are linearly dependent.  Two independent tuples span the same subspace
+    iff their forms are equal, so the form is the subspace's key; a pivot
+    that is already 1 costs no inversion."""
+    work = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        prow = work[rank]
+        if prow[col] != 1:
+            inv = spec.inv_idx(prow[col])
+            prow[col:] = [spec.mul_idx(inv, a) for a in prow[col:]]
+        for i, row in enumerate(work):
+            f = row[col]
+            if f and i != rank:
+                row[col:] = [
+                    spec.sub_idx(a, spec.mul_idx(f, b)) for a, b in zip(row[col:], prow[col:])
+                ]
+        rank += 1
+        if rank == len(work):
+            return tuple(map(tuple, work))
+    return None

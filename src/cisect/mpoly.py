@@ -19,9 +19,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -33,6 +31,9 @@ from .errors import (
 )
 from .ffield import FieldElement, FieldSpec
 from .space import BUDGET
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_TERM_DEGREE = 1 << 16
 _NUMPY_CHUNK = 1 << 18
@@ -385,6 +386,8 @@ def check_multihomogeneous(f: SparsePolynomial, grouping: VariableGrouping):
 
 
 def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
+    import numpy as np
+
     result = np.ones_like(base)
     b = base % p
     while e:
@@ -409,6 +412,10 @@ def count_affine_zeros(f: SparsePolynomial) -> int:
     if f.is_zero:
         return total
     if f.field.k == 1:
+        # numpy serves only this branch; importing it lazily keeps it out of
+        # every command that never counts affine zeros
+        import numpy as np
+
         p = f.field.p
         weights = [q ** (n - 1 - j) for j in range(n)]
         zeros = 0

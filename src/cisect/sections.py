@@ -10,9 +10,19 @@ finite extension level is a proxy for geometric smoothness: it is exact
 whenever the singular locus of the section is rational at the levels checked,
 which holds for the bundled corpus but not in general.
 
-The scan sweeps the whole tuple space (affine coefficient tuples, or products
-of canonical projective representatives) in a fixed enumeration order, so its
-reports are deterministic and splittable across workers by index range.
+A tuple's verdict depends only on the subspace W its rows span: so do the
+points on the section and the rank of the Jacobian stacked on the rows.  The
+scan therefore sweeps the Grassmannian G(s+1, n+1)(F_q) once, as reduced
+row-echelon forms, classifies each subspace once, and weights it by the
+number of tuples that span it: |GL_{s+1}(F_q)| = prod_{i=0}^{s} (q^{s+1} - q^i)
+ordered bases in affine mode, and that divided by (q-1)^{s+1} in projective
+mode, whose rows are canonical representatives.  Degenerate tuples are the
+total minus the rest.  The sweep splits across workers by subspace index
+range.  Witnesses still come in tuple enumeration order (affine coefficient
+tuples, or products of canonical projective representatives): a walk from
+index 0 looks each tuple's reduced form up among the failing subspaces and
+stops at the tenth hit, without classifying anything.  So reports are
+deterministic for any worker count.
 
 Everything here rests on one predicate: does the covector w vanish at the
 point x?  A covector's incidence mask over a point list has bit i set iff w
@@ -31,10 +41,11 @@ this is the same sum reorganized term-by-term, not a closed form.
 """
 from __future__ import annotations
 
-import multiprocessing
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import prod
 from typing import Iterator, Sequence
 
 from .bounds import bertini_degree, zero_bound
@@ -45,18 +56,23 @@ from .errors import (
     FieldMismatch,
 )
 from .ffield import FieldElement, FieldSpec
-from .linalg import rank_idx
+from .linalg import rank_idx, rref_idx
 from .mpoly import eval_idx
 from .space import (
     BUDGET,
     ProjPoint,
+    count_grassmannian,
     count_projective,
     iter_affine_idx,
     iter_projective_idx,
+    iter_rref_idx,
 )
 from .variety import VarietyDescriptor, _jacobian_idx, _points_idx, extension_spec
 
 _PARALLEL_THRESHOLD = 1 << 12
+# a parallel scan cuts its subspace range into this many chunks per worker,
+# so a worker that finishes early takes the next chunk instead of idling
+_CHUNKS_PER_WORKER = 16
 
 
 class SectionClass(Enum):
@@ -85,7 +101,9 @@ class SectionTuple:
 
     @classmethod
     def from_ints(cls, spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "SectionTuple":
-        return cls(tuple(tuple(spec.element(c) for c in row) for row in rows))
+        """A tuple from packed element indices, the inverse of ``idx_rows``;
+        it reads ``ScanWitness.gamma`` back for any base field."""
+        return cls(tuple(tuple(spec.from_index(c) for c in row) for row in rows))
 
     @property
     def s(self) -> int:
@@ -136,17 +154,6 @@ def _section_mask(
     return mask
 
 
-def _projective_key(w: tuple[int, ...], spec: FieldSpec) -> tuple[int, ...]:
-    """w scaled so that its first nonzero entry is 1; zero stays zero."""
-    for c in w:
-        if c == 1:
-            return w
-        if c:
-            inv = spec.inv_idx(c)
-            return tuple(spec.mul_idx(inv, a) for a in w)
-    return w
-
-
 def section_count(v: VarietyDescriptor, gamma: SectionTuple, ext: int = 1) -> int:
     """|{x in V(F_{q^e}) : gamma . x = 0}| counted projectively."""
     rows = _check_gamma(v, gamma)
@@ -156,7 +163,7 @@ def section_count(v: VarietyDescriptor, gamma: SectionTuple, ext: int = 1) -> in
 
 def _scan_data(v: VarietyDescriptor, max_ext: int):
     """Per extension level: (ext, spec, points, evaluated Jacobian rows, mask
-    memo keyed by projective covector class)."""
+    memo keyed by covector)."""
     out = []
     for e in range(1, max_ext + 1):
         spec = extension_spec(v, e)
@@ -169,23 +176,18 @@ def _scan_data(v: VarietyDescriptor, max_ext: int):
     return out
 
 
-def _classify(
-    v: VarietyDescriptor,
-    rows: Sequence[Sequence[int]],
-    data,
-    full_rank: int,
-):
-    """(classification, witness point, witness ext) for one covector tuple;
-    the witness is the first failing point in enumeration order."""
-    if rank_idx(rows, v.field) < len(rows):
-        return SectionClass.DEGENERATE, None, None
-    keys = [_projective_key(w, v.field) for w in rows]
+def _classify(rows: Sequence[tuple[int, ...]], data, full_rank: int):
+    """(PASS or RANK_FAIL, witness point, witness ext) for linearly
+    independent covectors; the witness is the first failing point in
+    enumeration order.  Masks are memoised per covector, so rows scaled to a
+    leading 1, such as a reduced row-echelon form, share one mask per
+    projective class."""
     for e, spec, pts, jacrows, memo in data:
         on = (1 << len(pts)) - 1
-        for key in keys:
-            mask = memo.get(key)
+        for w in rows:
+            mask = memo.get(w)
             if mask is None:
-                mask = memo[key] = _incidence_mask(key, pts, spec)
+                mask = memo[w] = _incidence_mask(w, pts, spec)
             on &= mask
         while on:
             low = on & -on
@@ -207,8 +209,10 @@ def section_smooth_check(
     if max_ext < 1:
         raise ValueError("max_ext must be >= 1")
     rows = _check_gamma(v, gamma)
-    data = _scan_data(v, max_ext)
-    kind, pt, e = _classify(v, rows, data, v.codim + s + 1)
+    form = rref_idx(rows, v.field)
+    kind, pt, e = SectionClass.DEGENERATE, None, None
+    if form is not None:
+        kind, pt, e = _classify(form, _scan_data(v, max_ext), v.codim + s + 1)
     witness = None
     if pt is not None:
         spec = extension_spec(v, e)
@@ -224,7 +228,7 @@ def section_smooth_check(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive scan over the tuple space
+# exhaustive scan: every tuple counted, each subspace classified once
 
 
 @dataclass(frozen=True)
@@ -272,47 +276,64 @@ class ScanReport:
 
 
 def _iter_tuples(
-    v: VarietyDescriptor, mode: str, s: int, start: int, stop: int
+    v: VarietyDescriptor, mode: str, s: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    n1 = v.nvars
+    """Covector tuples in scan order: the (s+1)-fold product of the mode's
+    covector stream (affine tuples, or canonical projective points)."""
     q = v.field.q
     if mode == "affine":
-        slices = [slice(i * n1, (i + 1) * n1) for i in range(s + 1)]
-        for flat in iter_affine_idx(q, n1 * (s + 1), start, stop):
-            yield tuple(flat[sl] for sl in slices)
+        covectors = iter_affine_idx(q, v.nvars)
     else:
-        reps = tuple(iter_projective_idx(q, n1 - 1))
-        base = len(reps)
-        digits = [0] * (s + 1)
-        index = start
-        for j in range(s, -1, -1):
-            index, digits[j] = divmod(index, base)
-        for _ in range(stop - start):
-            yield tuple(reps[d] for d in digits)
-            for j in range(s, -1, -1):
-                digits[j] += 1
-                if digits[j] < base:
-                    break
-                digits[j] = 0
+        covectors = iter_projective_idx(q, v.ambient_dim)
+    if s == 0:
+        # product() holds its input in memory, and this stream can hold
+        # 2^26 covectors; for s >= 1 the scan cap keeps it below 2^13
+        return zip(covectors)
+    return itertools.product(covectors, repeat=s + 1)
 
 
-def _scan_chunk(args) -> tuple[int, int, int, list[ScanWitness]]:
-    v, mode, data, start, stop = args
+def _sweep(v: VarietyDescriptor, data, start: int, stop: int):
+    """(number passing, {form: (witness point, ext)} for those failing) over
+    the reduced row-echelon forms with indices start..stop."""
     s = v.asserted_sing_dim
     full = v.codim + s + 1
-    pass_count = rank_fail = degenerate = 0
-    witnesses: list[ScanWitness] = []
-    for offset, rows in enumerate(_iter_tuples(v, mode, s, start, stop)):
-        kind, pt, e = _classify(v, rows, data, full)
+    passing = 0
+    failing = {}
+    for form in iter_rref_idx(v.field.q, s + 1, v.nvars, start, stop):
+        kind, pt, e = _classify(form, data, full)
         if kind is SectionClass.PASS:
-            pass_count += 1
-        elif kind is SectionClass.RANK_FAIL:
-            rank_fail += 1
-            if len(witnesses) < 10:
-                witnesses.append(ScanWitness(start + offset, rows, pt, e))
+            passing += 1
         else:
-            degenerate += 1
-    return pass_count, rank_fail, degenerate, witnesses
+            failing[form] = (pt, e)
+    return passing, failing
+
+
+# (variety, scan data) of a scan worker process, set by the pool initializer
+_worker_scan = None
+
+
+def _init_worker(v: VarietyDescriptor, data) -> None:
+    global _worker_scan
+    _worker_scan = (v, data)
+
+
+def _scan_chunk(bounds: tuple[int, int]):
+    return _sweep(*_worker_scan, *bounds)
+
+
+def _earliest_witnesses(
+    v: VarietyDescriptor, mode: str, failing: dict, limit: int
+) -> list[ScanWitness]:
+    """The first ``limit`` failing tuples in scan order, found by looking each
+    tuple's reduced form up among the failing subspaces."""
+    witnesses: list[ScanWitness] = []
+    for index, rows in enumerate(_iter_tuples(v, mode, v.asserted_sing_dim)):
+        if len(witnesses) == limit:
+            break
+        hit = failing.get(rref_idx(rows, v.field))
+        if hit is not None:
+            witnesses.append(ScanWitness(index, rows, *hit))
+    return witnesses
 
 
 def bertini_scan(
@@ -321,13 +342,14 @@ def bertini_scan(
     mode: str = "affine",
     workers: int = 1,
 ) -> ScanReport:
-    """Exhaustively classify every covector tuple for s = asserted_sing_dim.
+    """Classify every covector tuple for s = asserted_sing_dim.
 
-    Affine mode sweeps all q^{(n+1)(s+1)} coefficient tuples; projective mode
-    sweeps products of canonical representatives.  Reports the count of
-    passing tuples together with the closed-form floor on passing affine
-    tuples (when q exceeds the section degree bound) and the hypersurface
-    ceiling on failures.
+    Affine mode counts all q^{(n+1)(s+1)} coefficient tuples; projective mode
+    counts products of canonical representatives.  Each (s+1)-dimensional
+    subspace is classified once and stands for every tuple spanning it.
+    Reports the count of passing tuples together with the closed-form floor
+    on passing affine tuples (when q exceeds the section degree bound) and
+    the hypersurface ceiling on failures.
     """
     if mode not in ("affine", "projective"):
         raise ValueError(f"mode must be 'affine' or 'projective', got {mode!r}")
@@ -356,24 +378,29 @@ def bertini_scan(
     fail_ceiling = zero_bound(q, (d_bert,) * (s + 1), (n,) * (s + 1))
 
     data = _scan_data(v, max_ext)
-    if workers == 1 or total < _PARALLEL_THRESHOLD:
-        parts = [_scan_chunk((v, mode, data, 0, total))]
+    subspaces = count_grassmannian(q, s + 1, v.nvars)
+    if workers == 1 or subspaces < _PARALLEL_THRESHOLD:
+        parts = [_sweep(v, data, 0, subspaces)]
     else:
-        step = -(-total // workers)
-        ranges = [
-            (v, mode, data, lo, min(lo + step, total))
-            for lo in range(0, total, step)
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=len(ranges)) as pool:
-            parts = pool.map(_scan_chunk, ranges)
+        step = -(-subspaces // (workers * _CHUNKS_PER_WORKER))
+        bounds = [(lo, min(lo + step, subspaces)) for lo in range(0, subspaces, step)]
+        import multiprocessing  # only a pool needs it; it costs every command start-up
 
-    pass_count = sum(p[0] for p in parts)
-    rank_fail = sum(p[1] for p in parts)
-    degenerate = sum(p[2] for p in parts)
-    witnesses = sorted(
-        (w for p in parts for w in p[3]), key=lambda w: w.index
-    )[:10]
+        ctx = multiprocessing.get_context()
+        with ctx.Pool(workers, _init_worker, (v, data)) as pool:
+            parts = pool.map(_scan_chunk, bounds, chunksize=1)
+
+    failing = {}
+    for _, part in parts:
+        failing.update(part)
+    # tuples spanning one subspace: its ordered bases, up to scaling each row
+    # in projective mode
+    weight = prod(q ** (s + 1) - q**i for i in range(s + 1))
+    if mode == "projective":
+        weight //= (q - 1) ** (s + 1)
+    pass_count = weight * sum(p[0] for p in parts)
+    rank_fail = weight * len(failing)
+    witnesses = _earliest_witnesses(v, mode, failing, min(10, rank_fail))
     return ScanReport(
         q=q,
         ambient_dim=n,
@@ -383,7 +410,7 @@ def bertini_scan(
         total=total,
         pass_count=pass_count,
         rank_fail_count=rank_fail,
-        degenerate_count=degenerate,
+        degenerate_count=total - pass_count - rank_fail,
         bertini_deg=d_bert,
         pass_floor=pass_floor,
         floor_applicable=floor_applicable,

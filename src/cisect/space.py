@@ -1,14 +1,17 @@
 """Point enumeration for affine and projective coordinate spaces.
 
 Affine tuples stream in odometer order with the last coordinate moving
-fastest.  Projective points stream as canonical representatives (first
-nonzero coordinate scaled to 1) stratified by pivot position: pivot 0 first,
-then pivot 1, and so on; within one stratum the free tail follows the affine
-odometer.  Both orders are resumable from an integer index, which is the
+fastest.  Subspaces of F_q^m stream as reduced row-echelon forms (RREF)
+stratified by their pivot columns, in itertools.combinations order; within
+one stratum the free entries, read row by row, follow the affine odometer.
+Projective points are the one-row case: canonical representatives (first
+nonzero coordinate scaled to 1), pivot 0 first, then pivot 1, and so on.
+Every order is resumable from an integer index, which is the
 range-splitting seam used by parallel scans.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -24,6 +27,17 @@ def count_projective(q: int, r: int) -> int:
     if r < 0:
         return 0
     return sum(q**i for i in range(r + 1))
+
+
+def count_grassmannian(q: int, k: int, m: int) -> int:
+    """Number of k-dimensional subspaces of F_q^m (the Gaussian binomial)."""
+    if not 0 <= k <= m:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
 
 
 def count_affine(q: int, n: int) -> int:
@@ -111,27 +125,52 @@ def projective_tuple_at(q: int, n: int, index: int) -> tuple[int, ...]:
     raise ValueError("projective index out of range")
 
 
-def iter_projective_idx(q: int, n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Canonical representatives of P^n(F_q) in stratified odometer order."""
-    total = count_projective(q, n)
+def iter_rref_idx(
+    q: int, k: int, m: int, start: int = 0, stop: int | None = None
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Reduced row-echelon forms of the k-dimensional subspaces of F_q^m,
+    ``start`` (inclusive) to ``stop`` (exclusive), as tuples of k rows."""
+    total = count_grassmannian(q, k, m)
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) for P^{n} over F_{q}")
+        raise ValueError(f"bad range [{start}, {stop}) for {total} subspaces of F_{q}^{m}")
     remaining = stop - start
     index = start
-    for pivot in range(n + 1):
-        size = q ** (n - pivot)
+    for pivots in itertools.combinations(range(m), k):
+        # row i: zeros, its pivot's 1, then runs of free entries separated by
+        # the 0 in each later pivot column; a run is (prefix, lo, hi) with
+        # lo:hi its slice of the stratum's free entries
+        runs, width = [], 0
+        for i, c in enumerate(pivots):
+            prefix, prev, row = (0,) * c + (1,), c, []
+            for nxt in (*pivots[i + 1:], m):
+                row.append((prefix, width, width + nxt - prev - 1))
+                width += nxt - prev - 1
+                prefix, prev = (0,), nxt
+            runs.append(row)
+        size = q**width
         if index >= size:
             index -= size
             continue
-        head = (0,) * pivot + (1,)
-        for tail in iter_affine_idx(q, n - pivot, index, min(size, index + remaining)):
-            yield head + tail
+        for free in iter_affine_idx(q, width, index, min(size, index + remaining)):
+            form = []
+            for row in runs:
+                entries = ()
+                for prefix, lo, hi in row:
+                    entries += prefix + free[lo:hi]
+                form.append(entries)
+            yield tuple(form)
             remaining -= 1
         if remaining == 0:
             return
         index = 0
+
+
+def iter_projective_idx(q: int, n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Canonical representatives of P^n(F_q) in stratified odometer order."""
+    for (row,) in iter_rref_idx(q, 1, n + 1, start, stop):
+        yield row
 
 
 # ---------------------------------------------------------------------------

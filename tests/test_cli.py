@@ -168,6 +168,18 @@ def test_closed_stdout_exits_141_silently():
     assert proc.stderr == b""
 
 
+def test_import_leaves_numpy_and_multiprocessing_unloaded():
+    # only count_affine_zeros needs numpy and only a scan's worker pool needs
+    # multiprocessing; every other command skips importing them
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, cisect.cli; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
 def test_malformed_variety_file(capsys, tmp_path):
     bad = tmp_path / "bad.var"
     bad.write_text("garbage\n", encoding="utf-8")

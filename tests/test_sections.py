@@ -3,10 +3,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cisect import (
     SectionClass,
     SectionTuple,
+    SparsePolynomial,
     VarietyDescriptor,
     bertini_scan,
     count_points,
@@ -19,21 +22,26 @@ from cisect import (
     section_count,
     section_smooth_check,
 )
+from cisect import sections
 from cisect.errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch
 from cisect.linalg import rank_idx
-from cisect.sections import _mask_counts
+from cisect.sections import _PARALLEL_THRESHOLD, _classify, _mask_counts, _scan_data
+from cisect.space import count_grassmannian
 from cisect.variety import extension_spec
 
-from conftest import make_cone, make_cubic_surface, make_smooth_quadric, poly
+from conftest import field_of, make_cone, make_cubic_surface, make_smooth_quadric, poly
 
 
 def gamma_of(v, *rows):
     return SectionTuple.from_ints(v.field, rows)
 
 
-def gamma_idx(v, rows):
-    """A section tuple from packed element indices, for any base field."""
-    return SectionTuple(tuple(tuple(v.field.from_index(c) for c in w) for w in rows))
+def make_cone_p4(q: int) -> VarietyDescriptor:
+    """The cone X0*X1 - X2^2 in P^4 over a conic, singular along the line
+    X0 = X1 = X2 = 0; s = 1 makes its scan sweep planes of covectors."""
+    f = field_of(q)
+    gen = poly(f, 5, [(1, (1, 1, 0, 0, 0)), (-1, (0, 0, 2, 0, 0))])
+    return VarietyDescriptor.build(f, 5, [gen], dim=3, sing_dim=1)
 
 
 def test_section_count_known_values():
@@ -195,7 +203,7 @@ def naive_tuple_stats(v, s):
     for rows in itertools.product(
         itertools.product(range(q), repeat=v.nvars), repeat=s + 1
     ):
-        n_gamma = section_count(v, gamma_idx(v, rows))
+        n_gamma = section_count(v, gamma_of(v, *rows))
         dev = n_points - qs * n_gamma
         moment += dev * dev
         if dev * dev <= threshold:
@@ -256,18 +264,44 @@ def annihilates(w, x):
     return acc.is_zero
 
 
+def scan_covectors(v, mode):
+    """The covectors a scan's tuples draw from, in scan order."""
+    covectors = list(itertools.product(range(v.field.q), repeat=v.nvars))
+    if mode == "affine":
+        return covectors
+    covectors = [w for w in covectors if any(w) and next(c for c in w if c) == 1]
+    return sorted(covectors, key=lambda w: (w.index(1), w))  # pivot strata first
+
+
+def tuple_walk_scan(v, mode, max_ext=1):
+    """(pass, rank_fail, degenerate, first ten witnesses) by classifying every
+    covector tuple in enumeration order, one at a time, with no grouping of
+    tuples by the subspace they span."""
+    s = v.asserted_sing_dim
+    data = _scan_data(v, max_ext)
+    counts = {kind: 0 for kind in SectionClass}
+    witnesses = []
+    for index, rows in enumerate(itertools.product(scan_covectors(v, mode), repeat=s + 1)):
+        if rank_idx(rows, v.field) < len(rows):
+            counts[SectionClass.DEGENERATE] += 1
+            continue
+        kind, pt, e = _classify(rows, data, v.codim + s + 1)
+        counts[kind] += 1
+        if kind is SectionClass.RANK_FAIL and len(witnesses) < 10:
+            witnesses.append((index, rows, pt, e))
+    return (
+        counts[SectionClass.PASS],
+        counts[SectionClass.RANK_FAIL],
+        counts[SectionClass.DEGENERATE],
+        witnesses,
+    )
+
+
 def oracle_scan(v, mode, max_ext=1):
     """(pass, rank_fail, degenerate, first ten witnesses) by walking every
     tuple in enumeration order and every point at every extension level."""
-    q, s = v.field.q, v.asserted_sing_dim
-    if mode == "affine":
-        covectors = list(itertools.product(range(q), repeat=v.nvars))
-    else:
-        covectors = [
-            w for w in itertools.product(range(q), repeat=v.nvars)
-            if any(w) and next(c for c in w if c) == 1
-        ]
-        covectors.sort(key=lambda w: (w.index(1), w))  # pivot strata first
+    s = v.asserted_sing_dim
+    covectors = scan_covectors(v, mode)
     levels = []
     for e in range(1, max_ext + 1):
         spec = extension_spec(v, e)
@@ -303,7 +337,7 @@ def test_section_count_matches_oracle_over_f4():
     points = list(rational_points(v))
     for w in itertools.product(range(4), repeat=v.nvars):
         expected = sum(annihilates(w, x) for x in points)
-        assert section_count(v, gamma_idx(v, [w])) == expected, w
+        assert section_count(v, gamma_of(v, w)) == expected, w
 
 
 def test_mask_counts_match_all_covectors_over_f4():
@@ -316,19 +350,92 @@ def test_mask_counts_match_all_covectors_over_f4():
     assert _mask_counts(v) == tuple(sorted(counts.items()))
 
 
-@pytest.mark.parametrize(
-    "v, max_ext",
-    [(make_cone(4), 1), (make_cubic_surface(3), 2)],
-    ids=["cone-f4", "cubic-surface-f3-x2"],
-)
+def report_tuple(rep):
+    witnesses = [(w.index, w.gamma, w.point, w.ext) for w in rep.witnesses]
+    return rep.pass_count, rep.rank_fail_count, rep.degenerate_count, witnesses
+
+
+# test ids read mode-variety
+SCAN_CASES = {
+    "affine-cone-f4": (make_cone(4), 1, "affine"),
+    "projective-cone-f4": (make_cone(4), 1, "projective"),
+    "affine-cubic-surface-f3-x2": (make_cubic_surface(3), 2, "affine"),
+    "projective-cubic-surface-f3-x2": (make_cubic_surface(3), 2, "projective"),
+    "affine-cone-p4-f2-s1": (make_cone_p4(2), 1, "affine"),
+    "projective-cone-p4-f2-s1": (make_cone_p4(2), 1, "projective"),
+    "projective-cone-p4-f3-s1": (make_cone_p4(3), 1, "projective"),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_scan_matches_oracle_walk(case):
+    v, max_ext, mode = SCAN_CASES[case]
+    rep = report_tuple(bertini_scan(v, max_ext=max_ext, mode=mode))
+    assert rep == tuple_walk_scan(v, mode, max_ext)
+
+
+# the FieldElement walk needs tens of seconds on the P^4 cone over F_3
+@pytest.mark.parametrize("case", [c for c in SCAN_CASES if c != "projective-cone-p4-f3-s1"])
+def test_tuple_walk_matches_fieldelement_oracle(case):
+    v, max_ext, mode = SCAN_CASES[case]
+    assert tuple_walk_scan(v, mode, max_ext) == oracle_scan(v, mode, max_ext)
+
+
+@st.composite
+def random_surfaces(draw):
+    """A random surface in P^3 over F_2, F_3 or F_4, asserted to have at
+    most isolated singularities so that its scan runs with s = 0."""
+    f = field_of(draw(st.sampled_from([2, 3, 4])))
+    degree = draw(st.integers(1, 3))
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=4) if sum(e) == degree]
+    terms = draw(st.lists(
+        st.tuples(st.integers(1, f.q - 1), st.sampled_from(monomials)), min_size=1, max_size=5,
+    ))
+    gen = SparsePolynomial.from_terms(f, 4, [(f.from_index(c), e) for c, e in terms])
+    assume(not gen.is_zero)
+    return VarietyDescriptor.build(f, 4, [gen], dim=2, sing_dim=0)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(v=random_surfaces(), mode=st.sampled_from(["affine", "projective"]))
+def test_scan_factorisation_matches_tuple_walk(v, mode):
+    assert report_tuple(bertini_scan(v, mode=mode)) == tuple_walk_scan(v, mode)
+
+
+def test_scan_classifies_each_subspace_once(monkeypatch):
+    v = make_cone_p4(3)
+    calls = []
+
+    def counting(rows, data, full_rank):
+        calls.append(rows)
+        return _classify(rows, data, full_rank)
+
+    monkeypatch.setattr(sections, "_classify", counting)
+    for mode in ("affine", "projective"):
+        calls.clear()
+        bertini_scan(v, mode=mode)
+        assert len(calls) == len(set(calls)) == count_grassmannian(3, 2, 5) == 1210
+
+
+def test_scan_worker_pool_matches_serial():
+    # 20306 planes of covectors: enough subspaces for the scan to use a pool
+    v = make_cone_p4(5)
+    assert count_grassmannian(5, 2, 5) >= _PARALLEL_THRESHOLD
+    solo = bertini_scan(v, mode="projective", workers=1)
+    assert solo == bertini_scan(v, mode="projective", workers=2)
+    assert (solo.pass_count, solo.rank_fail_count) == (468750, 140430)
+
+
 @pytest.mark.parametrize("mode", ["affine", "projective"])
-def test_scan_matches_oracle_walk(v, max_ext, mode):
-    rep = bertini_scan(v, max_ext=max_ext, mode=mode)
-    passed, failed, degenerate, witnesses = oracle_scan(v, mode, max_ext)
-    assert (rep.pass_count, rep.rank_fail_count, rep.degenerate_count) == (
-        passed, failed, degenerate,
-    )
-    assert [(w.index, w.gamma, w.point, w.ext) for w in rep.witnesses] == witnesses
+def test_scan_witnesses_round_trip_over_f4(mode):
+    v = make_cone(4)
+    rep = bertini_scan(v, mode=mode)
+    assert len(rep.witnesses) == 10
+    for w in rep.witnesses:
+        verdict = section_smooth_check(v, SectionTuple.from_ints(v.field, w.gamma))
+        assert verdict.classification is SectionClass.RANK_FAIL, w
+        assert tuple(c.idx for c in verdict.witness.coords) == w.point
+        assert verdict.witness_ext == w.ext
 
 
 def test_moment_and_census_over_f4():

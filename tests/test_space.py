@@ -1,10 +1,23 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from cisect import count_affine, count_projective, enumerate_affine, enumerate_projective, make_field
 from cisect.errors import BudgetExceeded
-from cisect.space import ProjPoint, iter_affine_idx, iter_projective_idx
+from cisect.ffield import FieldSpec
+from cisect.linalg import rank_idx, rref_idx
+from cisect.space import (
+    ProjPoint,
+    count_grassmannian,
+    iter_affine_idx,
+    iter_projective_idx,
+    iter_rref_idx,
+    projective_tuple_at,
+)
+
+from conftest import field_of
 
 
 def test_projective_counts():
@@ -85,3 +98,60 @@ def test_enumeration_budget():
     f2 = make_field(2)
     with pytest.raises(BudgetExceeded):
         next(enumerate_affine(f2, 30))
+
+
+def test_grassmannian_counts():
+    assert count_grassmannian(2, 2, 4) == 35
+    assert count_grassmannian(5, 2, 5) == 20306
+    assert count_grassmannian(3, 2, 5) == 1210
+    for q, n in [(2, 1), (13, 3), (4, 4)]:
+        assert count_grassmannian(q, 1, n + 1) == count_projective(q, n)
+    assert count_grassmannian(3, 0, 4) == count_grassmannian(3, 4, 4) == 1
+    assert count_grassmannian(3, 5, 4) == 0
+
+
+def test_rref_one_row_is_projective_order():
+    for q, n in [(2, 1), (3, 2), (4, 3), (5, 2)]:
+        rows = [form for (form,) in iter_rref_idx(q, 1, n + 1)]
+        assert rows == [projective_tuple_at(q, n, i) for i in range(count_projective(q, n))]
+
+
+@pytest.mark.parametrize("q, k, m", [(2, 2, 4), (3, 2, 3), (4, 2, 3), (2, 3, 4), (3, 1, 3)])
+def test_rref_forms_are_the_subspaces(q, k, m):
+    """Every independent k-tuple of vectors reduces to exactly one of the
+    enumerated forms, and every form is its own reduction."""
+    spec = field_of(q)
+    forms = list(iter_rref_idx(q, k, m))
+    assert len(forms) == len(set(forms)) == count_grassmannian(q, k, m)
+    assert all(rref_idx(f, spec) == f for f in forms)
+    vectors = list(itertools.product(range(q), repeat=m))
+    reduced = set()
+    for rows in itertools.product(vectors, repeat=k):
+        form = rref_idx(rows, spec)
+        assert (form is None) == (rank_idx(rows, spec) < k)
+        if form is not None:
+            reduced.add(form)
+    assert reduced == set(forms)
+
+
+def test_rref_resumable_slicing():
+    full = list(iter_rref_idx(3, 2, 5))
+    for start, stop in [(0, len(full)), (7, 400), (399, 401), (len(full) - 1, len(full)), (5, 5)]:
+        assert list(iter_rref_idx(3, 2, 5, start, stop)) == full[start:stop]
+    with pytest.raises(ValueError):
+        list(iter_rref_idx(3, 2, 5, 0, len(full) + 1))
+
+
+def test_rref_of_canonical_rows_costs_no_inversion(monkeypatch):
+    f4 = make_field(2, 2)
+
+    def no_inverse(self, a):
+        raise AssertionError("inverted a field element")
+
+    forms = list(iter_rref_idx(4, 2, 4))
+    monkeypatch.setattr(FieldSpec, "inv_idx", no_inverse)
+    assert rref_idx([(1, 2, 3, 0)], f4) == ((1, 2, 3, 0),)
+    assert all(rref_idx(f, f4) == f for f in forms)
+    monkeypatch.undo()
+    # a scaled row needs its pivot inverted: 2 * 3 = 1 in F_4
+    assert rref_idx([(0, 2, 1, 3)], f4) == ((0, 1, 3, 2),)

@@ -119,6 +119,19 @@ def test_extension_counts():
         count_points(w, 2)
 
 
+def test_fermat_curve_counts_follow_weil():
+    # genus 1: N_e = q^e + 1 - (alpha^e + conj(alpha)^e), where the power
+    # sums obey s_e = a s_{e-1} - q s_{e-2} with s_0 = 2 and a = q + 1 - N_1
+    v = load_variety(VARIETY_DIR / "fermat5.var")
+    q = v.field.q
+    a = q + 1 - count_points(v)
+    sums = [2, a]
+    for e in range(2, 4):
+        sums.append(a * sums[-1] - q * sums[-2])
+    for e in (1, 2, 3):
+        assert count_points(v, e) == q**e + 1 - sums[e]
+
+
 def test_empty_variety_warns_on_dimension_drift():
     v = make_empty(2)
     with pytest.warns(DimensionDriftWarning):
