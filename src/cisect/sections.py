@@ -70,9 +70,6 @@ from .space import (
 from .variety import VarietyDescriptor, _jacobian_idx, _points_idx, extension_spec
 
 _PARALLEL_THRESHOLD = 1 << 12
-# a parallel scan cuts its subspace range into this many chunks per worker,
-# so a worker that finishes early takes the next chunk instead of idling
-_CHUNKS_PER_WORKER = 16
 
 
 class SectionClass(Enum):
@@ -308,19 +305,6 @@ def _sweep(v: VarietyDescriptor, data, start: int, stop: int):
     return passing, failing
 
 
-# (variety, scan data) of a scan worker process, set by the pool initializer
-_worker_scan = None
-
-
-def _init_worker(v: VarietyDescriptor, data) -> None:
-    global _worker_scan
-    _worker_scan = (v, data)
-
-
-def _scan_chunk(bounds: tuple[int, int]):
-    return _sweep(*_worker_scan, *bounds)
-
-
 def _earliest_witnesses(
     v: VarietyDescriptor, mode: str, failing: dict, limit: int
 ) -> list[ScanWitness]:
@@ -382,13 +366,14 @@ def bertini_scan(
     if workers == 1 or subspaces < _PARALLEL_THRESHOLD:
         parts = [_sweep(v, data, 0, subspaces)]
     else:
-        step = -(-subspaces // (workers * _CHUNKS_PER_WORKER))
-        bounds = [(lo, min(lo + step, subspaces)) for lo in range(0, subspaces, step)]
+        step = -(-subspaces // workers)
+        ranges = [
+            (v, data, lo, min(lo + step, subspaces)) for lo in range(0, subspaces, step)
+        ]
         import multiprocessing  # only a pool needs it; it costs every command start-up
 
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(workers, _init_worker, (v, data)) as pool:
-            parts = pool.map(_scan_chunk, bounds, chunksize=1)
+        with multiprocessing.get_context().Pool(len(ranges)) as pool:
+            parts = pool.starmap(_sweep, ranges)
 
     failing = {}
     for _, part in parts:
