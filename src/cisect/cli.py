@@ -3,9 +3,9 @@
 Subcommands map one-to-one onto library entry points; all exact values print
 in decimal, irrational bounds print with 12 significant digits in CSV and 30
 on the terminal.  Exit codes: 0 when every applicable verdict passes, 1 when
-any applicable verdict fails, 2 on input or parse errors (with a single-line
-diagnostic on stderr), and 141 (128 + SIGPIPE), silently, when the reader of
-standard output goes away before the output is written.
+any fails, 2 on a CisectError or OSError (one diagnostic line on stderr), 141
+(128 + SIGPIPE), silently, when the reader of standard output goes away
+first.  Any other exception is a bug and propagates with its traceback.
 """
 from __future__ import annotations
 
@@ -265,9 +265,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
-    except (CisectError, ValueError) as exc:
-        print(f"cisect: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CisectError, OSError) as exc:
+        # input errors only: any other exception is a bug and keeps its traceback
         print(f"cisect: {exc}", file=sys.stderr)
         return 2

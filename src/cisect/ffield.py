@@ -6,6 +6,24 @@ term.  Packing the coefficients as a base-p integer gives each element a
 stable index in [0, q); all hot loops work on these indices and only the
 public surface wraps them in FieldElement objects.
 
+Prime fields compute on the indices directly, as integers mod p.  An
+extension field computes through discrete-logarithm tables (Lidl and
+Niederreiter, Finite Fields, section 9.2) over g, the smallest index of
+multiplicative order q - 1:
+
+    exp[i]  = g^i for 0 <= i < 2(q - 1), so exp[log a + log b] needs no reduction
+    log[a]  = the i in [0, q - 1) with g^i = a; a negative sentinel at a = 0
+    zech[d] = log(1 + g^d), the sentinel where 1 + g^d = 0 (odd p only)
+
+A product, inverse or power is one lookup, and a sum one Zech lookup, or an
+XOR of the indices when p = 2.  The tables are built on the first arithmetic
+operation that needs them, not by make_field, by repeated multiplication by g
+(a shift and XOR when p = 2).  They are flat arrays of about 16 bytes per
+element (24 when p is odd) and take 1 to 2 s to build at q = 2^20.
+make_field returns one FieldSpec per (p, k, modulus), so each field builds
+its tables once per process; a pickled FieldSpec carries none and rebuilds
+them on demand.
+
 When no modulus is supplied the lexicographically smallest monic irreducible
 polynomial of degree k is selected (coefficients compared ascending from the
 constant term), so two independently built specs for the same (p, k) are
@@ -16,8 +34,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Sequence
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -26,9 +44,14 @@ from .errors import (
     NotPrime,
 )
 
+if TYPE_CHECKING:
+    from array import array
+
 MAX_ORDER = 1 << 20
-# build q x q lookup tables for extension fields only up to this order
-_TABLE_LIMIT = 256
+# the discrete log of 0: so negative that a term with a zero factor keeps a
+# negative log, whatever its other logs (each below 2^20, times a degree of
+# at most 2^16) add
+ZERO_LOG = -(1 << 62)
 
 
 def is_prime(n: int) -> bool:
@@ -91,21 +114,27 @@ def _poly_eval(c: Sequence[int], x: int, p: int) -> int:
     return acc
 
 
-def _poly_inv_mod(a: Sequence[int], modulus: Sequence[int], p: int) -> list[int]:
-    """Inverse of a modulo the modulus via the extended Euclidean algorithm."""
-    r0, r1 = _trim(list(modulus)), _trim(list(a))
-    t0, t1 = [0], [1]
-    while r1 != [0]:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        prod = _poly_mul(q, t1, p)
-        width = max(len(t0), len(prod))
-        nxt = [(t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(width)]
-        t0, t1 = t1, _trim([c % p for c in nxt])
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    scale = pow(r0[0], p - 2, p)
-    return _trim([c * scale % p for c in t0])
+def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> list[int]:
+    result, base = [1], list(a)
+    while e:
+        if e & 1:
+            result = _poly_divmod(_poly_mul(result, base, p), modulus, p)[1]
+        base = _poly_divmod(_poly_mul(base, base, p), modulus, p)[1]
+        e >>= 1
+    return result
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
@@ -130,6 +159,7 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     return True
 
 
+@cache
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # itertools.product yields coefficient tuples in ascending lexicographic
     # order with the constant term compared first
@@ -141,6 +171,16 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+
+
+class LogTables(NamedTuple):
+    """Discrete-log tables of F_{p^k} over a generator g of its
+    multiplicative group; see the module docstring."""
+
+    n: int  # q - 1, the order of g
+    exp: array  # g^i for 0 <= i < 2n
+    log: array  # log_g of each index; ZERO_LOG at 0
+    zech: array | None  # log(1 + g^d) for 0 <= d < n; None when p = 2
 
 
 @dataclass(frozen=True)
@@ -180,89 +220,145 @@ class FieldSpec:
             acc = acc * self.p + c
         return acc
 
-    @cached_property
-    def _digits(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.coeffs_of(i) for i in range(self.q))
+    def __getstate__(self) -> dict:
+        # the log tables are rebuilt on demand; a pickle carries the field only
+        return {"p": self.p, "k": self.k, "modulus": self.modulus}
 
     @cached_property
-    def _mul_table(self) -> list[int] | None:
-        q = self.q
-        if self.k == 1 or q > _TABLE_LIMIT:
-            return None
-        table = [0] * (q * q)
-        digits = self._digits
-        for i in range(q):
-            row = i * q
-            for j in range(i, q):
-                prod = _poly_mul(digits[i], digits[j], self.p)
-                if len(prod) >= len(self.modulus):
-                    _, prod = _poly_divmod(prod, self.modulus, self.p)
-                v = self.idx_of(prod)
-                table[row + j] = v
-                table[j * q + i] = v
-        return table
+    def tables(self) -> LogTables:
+        """The discrete-log tables of an extension field (k > 1), built on
+        first use; see the module docstring."""
+        # loading array's extension module costs 128 KiB of RSS, so only a
+        # process that builds tables pays it
+        from array import array
+
+        p, k, n = self.p, self.k, self.q - 1
+        modulus = list(self.modulus)
+        factors = _prime_factors(n)
+        # g has order n iff g^(n/r) != 1 for every prime r dividing n
+        g = next(
+            g for g in range(2, n + 1)
+            if all(_poly_powmod(self.coeffs_of(g), n // r, modulus, p) != [1] for r in factors)
+        )
+        exp = array("i")
+        if p == 2:
+            # indices are bit vectors: times X is a shift, reduced by an XOR
+            overflow, mod_bits, x = 1 << k, self.idx_of(modulus), 1
+            for _ in range(n):
+                exp.append(x)
+                acc = x if g & 1 else 0
+                for bit in range(1, g.bit_length()):
+                    x <<= 1
+                    if x & overflow:
+                        x ^= mod_bits
+                    if g >> bit & 1:
+                        acc ^= x
+                x = acc
+        else:
+            low, weights = modulus[:k], [p**j for j in range(k)]
+            g_coeffs = _trim(list(self.coeffs_of(g)))
+            x = [1] + [0] * (k - 1)
+            for _ in range(n):
+                exp.append(sum(map(operator.mul, x, weights)))
+                acc = [g_coeffs[0] * c for c in x]
+                for gj in g_coeffs[1:]:
+                    # times X: shift the coefficients up, and replace the
+                    # X^k term by top * -(modulus - X^k)
+                    top = x[-1]
+                    x = [(a - top * b) % p for a, b in zip([0, *x[:-1]], low)]
+                    acc = [a + gj * b for a, b in zip(acc, x)]
+                x = [a % p for a in acc]
+        log = array("q", [ZERO_LOG]) * self.q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp *= 2
+        zech = None
+        if p != 2:
+            # 1 + a adds one to the constant digit of a's index
+            zech = array(
+                "q", (log[a - p + 1 if a % p == p - 1 else a + 1] for a in exp[:n])
+            )
+        return LogTables(n, exp, log, zech)
+
+    def sum_logs(self, logs: Iterable[int]) -> int:
+        """Index of the sum of g^s over ``logs`` (k > 1); a negative s stands
+        for a zero term, and s may exceed q - 1."""
+        n, exp, _, zech = self.tables
+        if zech is None:  # p = 2: a sum is an XOR of indices
+            acc = 0
+            for s in logs:
+                if s >= 0:
+                    acc ^= exp[s % n]
+            return acc
+        acc = -1
+        for s in logs:
+            if s >= 0:
+                if acc < 0:
+                    acc = s % n
+                else:
+                    z = zech[(s - acc) % n]
+                    acc = (acc + z) % n if z >= 0 else -1
+        return exp[acc] if acc >= 0 else 0
 
     # -- arithmetic on packed indices --------------------------------------
 
     def add_idx(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a + b) % self.p
-        da, db = self._digits[a], self._digits[b]
-        return self.idx_of([(x + y) % self.p for x, y in zip(da, db)])
+        if self.p == 2:
+            return a ^ b
+        log = self.tables.log
+        return self.sum_logs((log[a], log[b]))
 
     def sub_idx(self, a: int, b: int) -> int:
         if self.k == 1:
             return (a - b) % self.p
-        da, db = self._digits[a], self._digits[b]
-        return self.idx_of([(x - y) % self.p for x, y in zip(da, db)])
+        if self.p == 2:
+            return a ^ b
+        n, _, log, _ = self.tables
+        return self.sum_logs((log[a], log[b] + n // 2))
 
     def neg_idx(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return self.idx_of([(-x) % self.p for x in self._digits[a]])
+        if self.p == 2 or not a:
+            return a
+        n, exp, log, _ = self.tables
+        return exp[log[a] + n // 2]
 
     def mul_idx(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        table = self._mul_table
-        if table is not None:
-            return table[a * self.q + b]
-        prod = _poly_mul(self._digits[a], self._digits[b], self.p)
-        if len(prod) >= len(self.modulus):
-            _, prod = _poly_divmod(prod, self.modulus, self.p)
-        return self.idx_of(prod)
+        if not (a and b):
+            return 0
+        _, exp, log, _ = self.tables
+        return exp[log[a] + log[b]]
 
     def inv_idx(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        inv = _poly_inv_mod(self._digits[a], self.modulus, self.p)
-        return self.idx_of(inv)
+        n, exp, log, _ = self.tables
+        return exp[n - log[a]]
 
     def pow_idx(self, a: int, e: int) -> int:
-        """Exponentiation by repeated squaring; e must be nonnegative."""
+        """a^e; e must be nonnegative, and 0^0 = 1."""
         if e < 0:
             raise ValueError("negative exponent; invert first")
         if self.k == 1:
             return pow(a, e, self.p)
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_idx(result, base)
-            base = self.mul_idx(base, base)
-            e >>= 1
-        return result
+        if not a:
+            return 0 if e else 1
+        n, exp, log, _ = self.tables
+        return exp[log[a] * e % n]
 
     def dot_idx(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Dot product sum a_i * b_i of two index vectors of equal length."""
         if self.k == 1:
             return sum(map(operator.mul, a, b)) % self.p
-        acc = 0
-        for x, y in zip(a, b):
-            acc = self.add_idx(acc, self.mul_idx(x, y))
-        return acc
+        log = self.tables.log
+        return self.sum_logs(log[x] + log[y] for x, y in zip(a, b))
 
     # -- element construction ----------------------------------------------
 
@@ -360,8 +456,12 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 
 
+_FIELDS: dict[tuple[int, int, tuple[int, ...]], FieldSpec] = {}
+
+
 def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> FieldSpec:
-    """Construct F_{p^k}, validating primality, the order budget, and the modulus."""
+    """Construct F_{p^k}, validating primality, the order budget, and the
+    modulus; every call for one (p, k, modulus) returns the same FieldSpec."""
     if not isinstance(p, int) or not isinstance(k, int):
         raise TypeError("p and k must be integers")
     if k < 1:
@@ -373,8 +473,8 @@ def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Fiel
     if k == 1:
         if modulus is not None and tuple(modulus) != (0, 1):
             raise ValueError("for k = 1 the modulus is fixed to the formal polynomial X")
-        return FieldSpec(p, 1, (0, 1))
-    if modulus is None:
+        mod = (0, 1)
+    elif modulus is None:
         mod = _smallest_irreducible(p, k)
     else:
         mod = tuple(modulus)
@@ -384,6 +484,10 @@ def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Fiel
             raise ValueError("modulus coefficients must lie in [0, p)")
         if mod[-1] != 1:
             raise NotIrreducible("modulus must be monic")
-        if not _is_irreducible(mod, p):
+    spec = _FIELDS.get((p, k, mod))
+    if spec is None:
+        # only irreducible moduli are memoised, so a hit needs no test
+        if modulus is not None and k > 1 and not _is_irreducible(mod, p):
             raise NotIrreducible(f"modulus {mod} is reducible over F_{p}")
-    return FieldSpec(p, k, mod)
+        spec = _FIELDS[(p, k, mod)] = FieldSpec(p, k, mod)
+    return spec

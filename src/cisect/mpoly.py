@@ -16,6 +16,7 @@ zero-coefficient term so that parse(format(f)) == f holds for every f.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -196,9 +197,13 @@ class SparsePolynomial:
 
 
 def _parse_int(text: str, offset: int, what: str) -> int:
-    if not text or not text.isdigit():
-        raise PolyParseError(f"expected a nonnegative integer {what}, got {text!r}", offset)
-    return int(text)
+    # isdigit() admits text int() rejects: superscripts, or over 4300 digits
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise PolyParseError(f"expected a nonnegative integer {what}, got {text!r}", offset)
 
 
 def parse_poly(text: str, nvars: int, field: FieldSpec) -> SparsePolynomial:
@@ -293,16 +298,13 @@ def eval_idx(f: SparsePolynomial, point: Sequence[int], spec: FieldSpec | None =
                         break
             acc += term
         return acc % p
-    acc = 0
-    for cidx, exps in f.idx_terms:
-        term = cidx
-        for x, e in zip(point, exps):
-            if e:
-                term = fld.mul_idx(term, fld.pow_idx(x, e))
-                if term == 0:
-                    break
-        acc = fld.add_idx(acc, term)
-    return acc
+    # log domain: a term's log is log c + sum e_i log x_i, negative when a
+    # factor is zero, so each term costs one Zech addition
+    log = fld.tables.log
+    logs = [log[x] for x in point]
+    return fld.sum_logs(
+        log[cidx] + sum(map(operator.mul, exps, logs)) for cidx, exps in f.idx_terms
+    )
 
 
 def eval_poly(f: SparsePolynomial, point: Sequence[FieldElement]) -> FieldElement:

@@ -25,6 +25,7 @@ from .errors import (
     ArityMismatch,
     BadSingularDim,
     BudgetExceeded,
+    CisectError,
     DimensionDriftWarning,
     DimensionMismatch,
     FieldMismatch,
@@ -188,7 +189,13 @@ def parse_variety(text: str) -> VarietyDescriptor:
             modulus = tuple(int(c) for c in fields["mod"].split(","))
         except ValueError:
             raise ParseError("'mod' must be a comma-separated integer list") from None
-    spec = make_field(p, k, modulus)
+    try:
+        spec = make_field(p, k, modulus)
+    except CisectError:
+        raise
+    except ValueError as exc:
+        # a bad k or modulus shape: make_field's own ValueErrors are input errors here
+        raise ParseError(str(exc)) from exc
 
     nvars = as_int(need(body, "nvars", "variety"), "nvars")
     dim = as_int(need(body, "dim", "variety"), "dim")
@@ -207,11 +214,15 @@ def parse_variety(text: str) -> VarietyDescriptor:
 def load_variety(source: str | Path) -> VarietyDescriptor:
     """Load a descriptor from a file path, or parse text directly when the
     argument contains newlines or starts like the format itself."""
-    if isinstance(source, Path):
-        return parse_variety(source.read_text(encoding="utf-8"))
-    if "\n" in source or source.lstrip().startswith(("#", "[")):
+    if isinstance(source, str) and (
+        "\n" in source or source.lstrip().startswith(("#", "["))
+    ):
         return parse_variety(source)
-    return parse_variety(Path(source).read_text(encoding="utf-8"))
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(str(exc)) from exc
+    return parse_variety(text)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from cisect import cli
 from cisect.cli import main
 
 from conftest import VARIETY_DIR
@@ -205,3 +206,45 @@ def test_unknown_subcommand_exits_two(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+_CURVE = "[variety]\nnvars = 3\ndim = 1\nsingdim = -1\npoly = {coeff}:1,0,1 + 1;0:0,2,0\n"
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        # make_field's own ValueErrors: a bad modulus length or range, k = 0,
+        # and a modulus given with k = 1
+        ("[field]\np = 2\nk = 2\nmod = 1,1\n" + _CURVE, "modulus must have 3 coefficients, got 2"),
+        ("[field]\np = 2\nk = 2\nmod = 1,2,1\n" + _CURVE, "modulus coefficients must lie in [0, p)"),
+        ("[field]\np = 2\nk = 0\n" + _CURVE, "extension degree must be >= 1, got 0"),
+        ("[field]\np = 2\nmod = 1,1\n" + _CURVE, "for k = 1 the modulus is fixed"),
+        # text int() refuses although isdigit() admits it
+        ("[field]\np = 2\nk = 2\n" + _CURVE.replace("{coeff}", "²;0"), "got '²'"),
+    ],
+)
+def test_bad_field_and_number_text_is_input_error(capsys, tmp_path, content, message):
+    bad = tmp_path / "bad.var"
+    bad.write_text(content.replace("{coeff}", "1;0"), encoding="utf-8")
+    code, out, err = run(capsys, "count", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("cisect: ") and message in err and err.count("\n") == 1
+
+
+def test_undecodable_variety_file_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.var"
+    bad.write_bytes(b"# \xff\n[field]\np = 2\n")
+    code, out, err = run(capsys, "count", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("cisect: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_internal_value_error_is_not_input_error(monkeypatch):
+    # a ValueError from a bug must surface with its traceback, not exit 2
+    def broken(args):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "_cmd_count", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["count", var("cone2")])

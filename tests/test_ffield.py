@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cisect import FieldElement, make_field
+from cisect import FieldElement, make_field, parse_variety
 from cisect.errors import BudgetExceeded, FieldMismatch, NotIrreducible, NotPrime
+from cisect.ffield import ZERO_LOG, _poly_divmod, _poly_mul, _trim
+from cisect.variety import extension_spec
 
 
 def test_prime_field_basics():
@@ -134,3 +139,118 @@ def test_div_mul_round_trip_f32(ia, ib):
     f = make_field(2, 5)
     a, b = f.from_index(ia), f.from_index(ib)
     assert ((a / b) * b).idx == a.idx
+
+
+# ---------------------------------------------------------------------------
+# the log/Zech tables against polynomial arithmetic mod the modulus
+
+
+def _poly_inv_mod(a, modulus, p):
+    """Inverse of a modulo the modulus via the extended Euclidean algorithm."""
+    r0, r1 = _trim(list(modulus)), _trim(list(a))
+    t0, t1 = [0], [1]
+    while r1 != [0]:
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        prod = _poly_mul(q, t1, p)
+        width = max(len(t0), len(prod))
+        nxt = [(t0[i] if i < len(t0) else 0) - (prod[i] if i < len(prod) else 0) for i in range(width)]
+        t0, t1 = t1, _trim([c % p for c in nxt])
+    if len(r0) != 1:
+        raise ZeroDivisionError("element is not invertible")
+    scale = pow(r0[0], p - 2, p)
+    return _trim([c * scale % p for c in t0])
+
+
+def _ref_mul(f, a, b):
+    prod = _poly_mul(f.coeffs_of(a), f.coeffs_of(b), f.p)
+    return f.idx_of(_poly_divmod(prod, f.modulus, f.p)[1])
+
+
+def _ref_digitwise(f, a, b, sign):
+    return f.idx_of([(x + sign * y) % f.p for x, y in zip(f.coeffs_of(a), f.coeffs_of(b))])
+
+
+def _check_against_reference(f, pairs):
+    p = f.p
+    for a, b in pairs:
+        assert f.mul_idx(a, b) == _ref_mul(f, a, b)
+        assert f.add_idx(a, b) == _ref_digitwise(f, a, b, 1)
+        assert f.sub_idx(a, b) == _ref_digitwise(f, a, b, -1)
+    for a in {a for a, _ in pairs}:
+        assert f.neg_idx(a) == f.idx_of([(-x) % p for x in f.coeffs_of(a)])
+        if a:
+            assert f.inv_idx(a) == f.idx_of(_poly_inv_mod(f.coeffs_of(a), f.modulus, p))
+        power = 1
+        for e in range(5):
+            assert f.pow_idx(a, e) == power
+            power = _ref_mul(f, power, a)
+        assert f.pow_idx(a, f.q) == a  # Frobenius^k
+    rng = random.Random(f.q)
+    for width in (1, 2, 5):
+        for _ in range(20):
+            u = [rng.randrange(f.q) for _ in range(width)]
+            w = [rng.randrange(f.q) for _ in range(width)]
+            acc = 0
+            for x, y in zip(u, w):
+                acc = _ref_digitwise(f, acc, _ref_mul(f, x, y), 1)
+            assert f.dot_idx(u, w) == acc
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [(2, 2, None), (2, 3, None), (3, 2, None), (3, 2, (2, 2, 1)), (2, 4, None), (5, 2, None),
+     (3, 3, None), (2, 5, None), (7, 2, None), (2, 6, None)],
+)
+def test_tables_match_polynomial_arithmetic_exhaustively(p, k, modulus):
+    f = make_field(p, k, modulus)
+    _check_against_reference(f, [(a, b) for a in range(f.q) for b in range(f.q)])
+
+
+@pytest.mark.parametrize("p,k", [(3, 4), (2, 8), (5, 4), (17, 3), (2, 16)])
+def test_tables_match_polynomial_arithmetic_on_a_sample(p, k):
+    # F_81, F_256 and F_625 have no primitive X + c under the default modulus
+    f = make_field(p, k)
+    rng = random.Random(p * 1000 + k)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(400)]
+    _check_against_reference(f, pairs + [(0, 0), (0, 1), (1, 0), (f.q - 1, f.q - 1)])
+
+
+def test_table_edge_cases():
+    for f in (make_field(5), make_field(2, 3), make_field(3, 2)):
+        assert f.pow_idx(0, 0) == 1
+        assert f.pow_idx(0, 3) == 0
+        with pytest.raises(ZeroDivisionError):
+            f.inv_idx(0)
+        assert f.dot_idx([], []) == 0
+    f16 = make_field(2, 4)
+    assert all(f16.neg_idx(a) == a for a in range(16))
+    f9 = make_field(3, 2)
+    assert f9.tables.log[0] == ZERO_LOG
+    assert f9.tables.exp[f9.tables.log[2]] == 2
+
+
+def test_make_field_returns_one_spec_per_field():
+    assert make_field(2, 2) is make_field(2, 2)
+    assert make_field(2, 2) is make_field(2, 2, [1, 1, 1])  # list moduli still accepted
+    assert make_field(3, 2, (2, 2, 1)) is not make_field(3, 2)
+    assert make_field(7) is make_field(7, 1, (0, 1))
+    with pytest.raises(TypeError):
+        make_field(2.0)
+    with pytest.raises(NotIrreducible):
+        make_field(2, 2, [1, 0, 1])
+    v = parse_variety(
+        "[field]\np = 3\n[variety]\nnvars = 3\ndim = 1\nsingdim = -1\npoly = 1:2,0,0 + 1:0,1,1\n"
+    )
+    assert extension_spec(v, 3) is extension_spec(v, 3)
+
+
+def test_pickled_spec_carries_no_tables():
+    f = make_field(2, 16)
+    f.mul_idx(3, 5)  # build the tables
+    data = pickle.dumps(f)
+    assert len(data) < 1000
+    clone = pickle.loads(data)
+    assert clone == f and hash(clone) == hash(f)
+    assert "tables" not in vars(clone)
+    assert clone.mul_idx(3, 5) == f.mul_idx(3, 5)

@@ -29,7 +29,13 @@ from cisect.errors import (
     FieldMismatch,
     PolyParseError,
 )
-from cisect.mpoly import ANY_DEGREE, NOT_HOMOGENEOUS, NOT_MULTIHOMOGENEOUS
+from cisect.mpoly import (
+    ANY_DEGREE,
+    MAX_TERM_DEGREE,
+    NOT_HOMOGENEOUS,
+    NOT_MULTIHOMOGENEOUS,
+    eval_idx,
+)
 
 F5 = make_field(5)
 F2 = make_field(2)
@@ -212,3 +218,33 @@ def test_eval_is_ring_homomorphism(seed_a, seed_b):
     x = (F5.element(seed_a % 5), F5.element(seed_b % 5))
     assert eval_poly(f * g, x) == eval_poly(f, x) * eval_poly(g, x)
     assert eval_poly(f + g, x) == eval_poly(f, x) + eval_poly(g, x)
+
+
+def _eval_term_by_term(f, point, spec):
+    """The scalar evaluator eval_idx replaced: one power and product per
+    factor, one addition per term."""
+    acc = 0
+    for cidx, exps in f.idx_terms:
+        term = cidx
+        for x, e in zip(point, exps):
+            term = spec.mul_idx(term, spec.pow_idx(x, e))
+        acc = spec.add_idx(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 5), (3, 5), (2, 16)])
+def test_log_domain_eval_matches_term_by_term(p, k):
+    spec = make_field(p, k)
+    rng = random.Random(p * 100 + k)
+    polys = [random_polynomial(spec, 3, degree, rng, max_terms=5) for degree in (1, 3, 40, 900)]
+    # the largest term degree the grammar allows, times the largest log,
+    # with the zero factor of smallest exponent
+    top = MAX_TERM_DEGREE - 1
+    polys.append(SparsePolynomial.from_terms(
+        spec, 3, [(spec.one, (top, 1, 0)), (spec.from_index(spec.q - 1), (1, 0, 0))]
+    ))
+    coords = [0, 0, 1, spec.q - 1, spec.q - 2] + [rng.randrange(spec.q) for _ in range(5)]
+    for f in polys:
+        for _ in range(60):
+            point = tuple(rng.choice(coords) for _ in range(3))
+            assert eval_idx(f, point) == _eval_term_by_term(f, point, spec)

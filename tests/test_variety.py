@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,41 @@ def test_fermat_curve_counts_follow_weil():
         sums.append(a * sums[-1] - q * sums[-2])
     for e in (1, 2, 3):
         assert count_points(v, e) == q**e + 1 - sums[e]
+
+
+def l_polynomial_counts(q: int, genus: int, first: list[int], upto: int) -> list[int]:
+    """N_1..N_upto of a smooth curve of the given genus from N_1..N_genus.
+
+    L(T) = sum a_j T^j = prod (1 - alpha_i T) has degree 2g, and the power
+    sums S_e = sum alpha_i^e = q^e + 1 - N_e obey Newton's identities
+    S_e + a_1 S_{e-1} + ... + a_{e-1} S_1 + e a_e = 0 (a_j = 0 past 2g).
+    N_1..N_g fix a_1..a_g; the functional equation a_{2g-j} = q^{g-j} a_j
+    fixes the rest (Deligne, Weil I, for the curve's b_1 = 2g)."""
+    sums = [q**e + 1 - n for e, n in enumerate(first, start=1)]
+    a = [1]
+    for e in range(1, genus + 1):
+        value = Fraction(-(sums[e - 1] + sum(a[i] * sums[e - 1 - i] for i in range(1, e))), e)
+        assert value.denominator == 1
+        a.append(int(value))
+    a += [q ** (genus - j) * a[j] for j in range(genus - 1, -1, -1)]
+    a += [0] * upto
+    for e in range(genus + 1, upto + 1):
+        sums.append(-sum(a[i] * sums[e - 1 - i] for i in range(1, e)) - e * a[e])
+    return [q**e + 1 - s for e, s in enumerate(sums, start=1)]
+
+
+def test_klein_quartic_counts_follow_its_l_polynomial():
+    # X0^3 X1 + X1^3 X2 + X2^3 X0 is smooth of genus 3 over F_2, and
+    # L(T) = 1 + 5T^3 + 8T^6; e = 8 is F_256, which has no primitive X + c
+    v = parse_variety(
+        "[field]\np = 2\n[variety]\nnvars = 3\ndim = 1\nsingdim = -1\n"
+        "poly = 1:3,1,0 + 1:0,3,1 + 1:1,0,3\n"
+    )
+    first = [count_points(v, e) for e in (1, 2, 3)]
+    assert first == [3, 5, 24]
+    predicted = l_polynomial_counts(2, 3, first, 8)
+    assert predicted[3:] == [17, 33, 38, 129, 257]
+    assert [count_points(v, e) for e in range(4, 9)] == predicted[3:]
 
 
 def test_empty_variety_warns_on_dimension_drift():
