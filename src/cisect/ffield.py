@@ -18,8 +18,9 @@ multiplicative order q - 1:
 A product, inverse or power is one lookup, and a sum one Zech lookup, or an
 XOR of the indices when p = 2.  The tables are built on the first arithmetic
 operation that needs them, not by make_field, by repeated multiplication by g
-(a shift and XOR when p = 2).  They are flat arrays of about 16 bytes per
-element (24 when p is odd) and take 1 to 2 s to build at q = 2^20.
+(a shift and XOR when p = 2, a sum of chunk-table lookups when p is odd).
+They are flat arrays of about 16 bytes per element (24 when p is odd) and
+take 1 to 2 s to build at q = 2^20.
 make_field returns one FieldSpec per (p, k, modulus), so each field builds
 its tables once per process; a pickled FieldSpec carries none and rebuilds
 them on demand.
@@ -48,6 +49,9 @@ if TYPE_CHECKING:
     from array import array
 
 MAX_ORDER = 1 << 20
+# the most entries, summed over its chunk tables, that an odd-p field's
+# power build may use
+_CHUNK_ENTRIES = 1 << 14
 # the discrete log of 0: so negative that a term with a zero factor keeps a
 # negative log, whatever its other logs (each below 2^20, times a degree of
 # at most 2^16) add
@@ -170,6 +174,61 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise NotIrreducible(f"no irreducible polynomial of degree {k} over F_{p}")  # pragma: no cover
 
 
+def _odd_powers(
+    p: int, k: int, low: Sequence[int], g: Sequence[int], n: int
+) -> Iterator[int]:
+    """Indices of g^0, ..., g^(n-1) in F_p[X]/(X^k + low(X)) for odd p; g is
+    given by its k digits, lowest first.
+
+    Multiplication by g is F_p-linear, so g times x is a sum of one table
+    entry per chunk of c digits of x.  The running power keeps its digits in
+    lanes of ``lane`` bits of one integer (SWAR), unreduced: a lane holds a
+    sum of one reduced digit per chunk, and each table, indexed by the raw
+    bits of its chunk's lanes, reduces them mod p itself.  An entry also
+    carries its chunk's share of x's packed index in the low ``shift`` bits,
+    so one sum of lookups gives the index of this power and the lanes of the
+    next: a step is a few integer operations per chunk.
+    """
+    # c: the widest chunk whose tables stay small next to the field
+    limit = min(_CHUNK_ENTRIES, p**k // 8)
+    for c in range(k, 0, -1):
+        chunks = -(-k // c)
+        lane = (chunks * (p - 1)).bit_length()
+        if chunks << (c * lane) <= limit:
+            break
+    # times[i]: the digits of g * X^i
+    times, x = [], list(g)
+    for _ in range(k):
+        times.append(x)
+        # times X: shift the digits up; X^k is -low
+        x = [(a - x[-1] * b) % p for a, b in zip([0, *x[:-1]], low)]
+    shift = (p**k).bit_length()
+    parts = []
+    for start in range(0, k, c):
+        width = min(c, k - start)
+        # g times each chunk value b (base-p digits, lowest first), reduced
+        reduced = [[0] * k]
+        for col in times[start:start + width]:
+            reduced = [[(a + d * b) % p for a, b in zip(r, col)] for d in range(p) for r in reduced]
+        packed = [
+            (sum(a << (lane * i) for i, a in enumerate(r)) << shift) + b * p**start
+            for b, r in enumerate(reduced)
+        ]
+        # the chunk value of each raw lane pattern, lane 0 lowest
+        code = [0]
+        for j in range(width):
+            code = [b + v % p * p**j for v in range(1 << lane) for b in code]
+        parts.append(([packed[b] for b in code], start * lane))
+    mask, low_bits = (1 << (c * lane)) - 1, (1 << shift) - 1
+    lanes = 1
+    for _ in range(n):
+        t = 0
+        for table, at in parts:
+            t += table[lanes >> at & mask]
+        yield t & low_bits
+        lanes = t >> shift
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -255,19 +314,7 @@ class FieldSpec:
                         acc ^= x
                 x = acc
         else:
-            low, weights = modulus[:k], [p**j for j in range(k)]
-            g_coeffs = _trim(list(self.coeffs_of(g)))
-            x = [1] + [0] * (k - 1)
-            for _ in range(n):
-                exp.append(sum(map(operator.mul, x, weights)))
-                acc = [g_coeffs[0] * c for c in x]
-                for gj in g_coeffs[1:]:
-                    # times X: shift the coefficients up, and replace the
-                    # X^k term by top * -(modulus - X^k)
-                    top = x[-1]
-                    x = [(a - top * b) % p for a, b in zip([0, *x[:-1]], low)]
-                    acc = [a + gj * b for a, b in zip(acc, x)]
-                x = [a % p for a in acc]
+            exp.extend(_odd_powers(p, k, modulus[:k], self.coeffs_of(g), n))
         log = array("q", [ZERO_LOG]) * self.q
         for i, a in enumerate(exp):
             log[a] = i

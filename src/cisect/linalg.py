@@ -3,7 +3,7 @@
 Rows are sequences of packed element indices (see ffield.FieldSpec).  The
 rank's prime-field branch works directly on integers mod p, which is the hot
 path for every smoothness scan; the reduced form keys a subspace by its
-spanning rows.
+spanning rows, and the null space lists the covectors that vanish on them.
 """
 from __future__ import annotations
 
@@ -65,16 +65,17 @@ def rank_idx(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:
     return rank
 
 
-def rref_idx(
+def echelon_idx(
     rows: Sequence[Sequence[int]], spec: FieldSpec
-) -> tuple[tuple[int, ...], ...] | None:
-    """Reduced row-echelon form of independent rows, or None when the rows
-    are linearly dependent.  Two independent tuples span the same subspace
-    iff their forms are equal, so the form is the subspace's key; a pivot
-    that is already 1 costs no inversion."""
+) -> tuple[list[list[int]], list[int]]:
+    """The nonzero rows of the reduced row-echelon form of ``rows``, and their
+    pivot columns; a pivot that is already 1 costs no inversion."""
     work = [list(r) for r in rows]
-    rank = 0
-    for col in range(len(work[0])):
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        rank = len(pivots)
+        if rank == len(work):
+            break
         pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
@@ -89,7 +90,31 @@ def rref_idx(
                 row[col:] = [
                     spec.sub_idx(a, spec.mul_idx(f, b)) for a, b in zip(row[col:], prow[col:])
                 ]
-        rank += 1
-        if rank == len(work):
-            return tuple(map(tuple, work))
-    return None
+        pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
+def rref_idx(
+    rows: Sequence[Sequence[int]], spec: FieldSpec
+) -> tuple[tuple[int, ...], ...] | None:
+    """Reduced row-echelon form of independent rows, or None when the rows
+    are linearly dependent.  Two independent tuples span the same subspace
+    iff their forms are equal, so the form is the subspace's key."""
+    form, _ = echelon_idx(rows, spec)
+    return tuple(map(tuple, form)) if len(form) == len(rows) else None
+
+
+def nullspace_idx(
+    rows: Sequence[Sequence[int]], spec: FieldSpec, ncols: int
+) -> list[tuple[int, ...]]:
+    """A basis of {y in F^ncols : r . y = 0 for every row r}: one vector per
+    non-pivot column f, with 1 at f and 0 at the other non-pivot columns."""
+    form, pivots = echelon_idx(rows, spec)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        y = [0] * ncols
+        y[f] = 1
+        for row, c in zip(form, pivots):
+            y[c] = spec.neg_idx(row[f])
+        basis.append(tuple(y))
+    return basis

@@ -12,24 +12,33 @@ which holds for the bundled corpus but not in general.
 
 A tuple's verdict depends only on the subspace W its rows span: so do the
 points on the section and the rank of the Jacobian stacked on the rows.  The
-scan therefore sweeps the Grassmannian G(s+1, n+1)(F_q) once, as reduced
-row-echelon forms, classifies each subspace once, and weights it by the
-number of tuples that span it: |GL_{s+1}(F_q)| = prod_{i=0}^{s} (q^{s+1} - q^i)
-ordered bases in affine mode, and that divided by (q-1)^{s+1} in projective
-mode, whose rows are canonical representatives.  Degenerate tuples are the
-total minus the rest.  The sweep splits across workers by subspace index
-range.  Witnesses still come in tuple enumeration order (affine coefficient
-tuples, or products of canonical projective representatives): a walk from
-index 0 looks each tuple's reduced form up among the failing subspaces and
-stops at the tenth hit, without classifying anything.  So reports are
-deterministic for any worker count.
+scan therefore classifies each subspace of G(s+1, n+1)(F_q) once and weights
+it by the number of tuples that span it: |GL_{s+1}(F_q)| = prod_{i=0}^{s}
+(q^{s+1} - q^i) ordered bases in affine mode, and that divided by
+(q-1)^{s+1} in projective mode, whose rows are canonical representatives.
+Degenerate tuples are the total minus the rest.
 
-Everything here rests on one predicate: does the covector w vanish at the
-point x?  A covector's incidence mask over a point list has bit i set iff w
-annihilates the i-th point, and the points of a section are the AND of its
-rows' masks.  Scaling w by a nonzero constant leaves its mask unchanged, so
-masks are built once per projective covector class and shared by section
-counts, the scan's "which points lie on this section" filter and the census.
+At s = 0 a subspace is one canonical covector w, and the scan lists the
+failing ones from the points: the rational w that fail at a point x form a
+subspace K_x (the row space of the Jacobian at a smooth x, x^perp at a
+singular one, cut down to its rational vectors at levels e >= 2), so one
+walk over the points of each level marks every failing w with its first
+witness, and no incidence mask or per-section rank test is needed.  At
+s >= 1 the scan sweeps the subspaces as reduced row-echelon forms and
+classifies each against the points on it; that sweep splits across workers
+by subspace index range.  Either way witnesses come in tuple enumeration
+order (affine coefficient tuples, or products of canonical projective
+representatives): a walk from index 0 looks each tuple's reduced form up
+among the failing subspaces and stops at the tenth hit, without classifying
+anything.  So reports are deterministic for any worker count.
+
+Section counts, the s >= 1 sweep and the census rest on one predicate: does
+the covector w vanish at the point x?  A covector's incidence mask over a
+point list has bit i set iff w annihilates the i-th point, and the points of
+a section are the AND of its rows' masks.  Scaling w by a nonzero constant
+leaves its mask unchanged, so masks are built once per projective covector
+class and shared by section counts, the sweep's "which points lie on this
+section" filter and the census.
 
 Second-moment and census sums run over ALL affine covector tuples, including
 linearly dependent ones, and count section points projectively; that reading
@@ -56,7 +65,7 @@ from .errors import (
     FieldMismatch,
 )
 from .ffield import FieldElement, FieldSpec
-from .linalg import rank_idx, rref_idx
+from .linalg import echelon_idx, nullspace_idx, rank_idx, rref_idx
 from .mpoly import eval_idx
 from .space import (
     BUDGET,
@@ -305,6 +314,59 @@ def _sweep(v: VarietyDescriptor, data, start: int, stop: int):
     return passing, failing
 
 
+def _mark_hyperplanes(v: VarietyDescriptor, max_ext: int):
+    """(number passing, {(w,): (witness point, ext)} for those failing) over
+    the canonical covectors w of an s = 0 scan, from one walk over the points.
+
+    Let J be the Jacobian at a point x of V over F_{q^e}.  A rational w fails
+    at x iff w . x = 0 and rank [J; w] < codim + 1.  At a singular x (rank J
+    < codim) that is w in x^perp.  At a smooth x it is w in the row space of
+    J, which Euler's relation puts inside x^perp.  For e >= 2 the base field
+    is F_p and a rational w has only a constant base-p digit, so w . x = 0
+    holds iff it holds digit by digit; and w = sum c_i r_i over the reduced
+    rows r_i of J (c_i is w at the i-th pivot) is rational iff the higher
+    digits of its non-pivot entries vanish.  Walking the levels, then the
+    points, in enumeration order and keeping each w's first mark gives the
+    witness the subspace sweep finds.  A point marks at most the covectors
+    through it, so the marks never outnumber the sweep's incidence tests.
+    """
+    base = v.field
+    p = base.p
+    failing = {}
+    for e in range(1, max_ext + 1):
+        spec = extension_spec(v, e)
+        jac = _jacobian_idx(v, e)
+        for x in _points_idx(v, e):
+            form, pivots = echelon_idx([[eval_idx(d, x, spec) for d in row] for row in jac], spec)
+            if len(pivots) < v.codim:
+                # singular: x^perp, digit by digit when e >= 2
+                rows = [x] if e == 1 else list(zip(*map(spec.coeffs_of, x)))
+                basis = nullspace_idx(rows, base, v.nvars)
+            elif e == 1:
+                basis = form  # smooth: the row space of J
+            else:
+                # smooth: the combinations c of J's reduced rows whose
+                # non-pivot entries have no higher digit
+                digits = [
+                    [r[j] // p**t % p for r in form]
+                    for j in range(v.nvars) if j not in pivots for t in range(1, e)
+                ]
+                basis = [
+                    tuple(sum(ci * (a % p) for ci, a in zip(c, col)) % p for col in zip(*form))
+                    for c in nullspace_idx(digits, base, len(form))
+                ]
+            if not basis:
+                continue
+            # combinations of reduced rows with canonical coefficients are
+            # canonical covectors
+            cols = list(zip(*rref_idx(basis, base)))
+            for c in iter_projective_idx(base.q, len(basis) - 1):
+                key = (tuple(base.dot_idx(c, col) for col in cols),)
+                if key not in failing:
+                    failing[key] = (x, e)
+    return count_projective(base.q, v.ambient_dim) - len(failing), failing
+
+
 def _earliest_witnesses(
     v: VarietyDescriptor, mode: str, failing: dict, limit: int
 ) -> list[ScanWitness]:
@@ -330,10 +392,13 @@ def bertini_scan(
 
     Affine mode counts all q^{(n+1)(s+1)} coefficient tuples; projective mode
     counts products of canonical representatives.  Each (s+1)-dimensional
-    subspace is classified once and stands for every tuple spanning it.
-    Reports the count of passing tuples together with the closed-form floor
-    on passing affine tuples (when q exceeds the section degree bound) and
-    the hypersurface ceiling on failures.
+    subspace is classified once and stands for every tuple spanning it: at
+    s = 0 by one walk over the points that marks the failing hyperplanes, at
+    s >= 1 by a sweep over the subspaces, split over ``workers`` processes
+    when there are at least _PARALLEL_THRESHOLD of them.  Reports the count
+    of passing tuples together with the closed-form floor on passing affine
+    tuples (when q exceeds the section degree bound) and the hypersurface
+    ceiling on failures.
     """
     if mode not in ("affine", "projective"):
         raise ValueError(f"mode must be 'affine' or 'projective', got {mode!r}")
@@ -361,11 +426,13 @@ def bertini_scan(
     pass_floor = (q - d_bert) ** (s + 1) * q ** (n * (s + 1)) if floor_applicable else 0
     fail_ceiling = zero_bound(q, (d_bert,) * (s + 1), (n,) * (s + 1))
 
-    data = _scan_data(v, max_ext)
     subspaces = count_grassmannian(q, s + 1, v.nvars)
-    if workers == 1 or subspaces < _PARALLEL_THRESHOLD:
-        parts = [_sweep(v, data, 0, subspaces)]
+    if s == 0:
+        parts = [_mark_hyperplanes(v, max_ext)]
+    elif workers == 1 or subspaces < _PARALLEL_THRESHOLD:
+        parts = [_sweep(v, _scan_data(v, max_ext), 0, subspaces)]
     else:
+        data = _scan_data(v, max_ext)
         step = -(-subspaces // workers)
         ranges = [
             (v, data, lo, min(lo + step, subspaces)) for lo in range(0, subspaces, step)

@@ -216,6 +216,17 @@ def test_tables_match_polynomial_arithmetic_on_a_sample(p, k):
     _check_against_reference(f, pairs + [(0, 0), (0, 1), (1, 0), (f.q - 1, f.q - 1)])
 
 
+@pytest.mark.parametrize("p,k", [(3, 9), (5, 6)])
+def test_odd_powers_step_by_g_exhaustively(p, k):
+    # these fields build their powers from chunk tables of 3 and 2 digits
+    f = make_field(p, k)
+    n, exp, _, _ = f.tables
+    g = exp[1]
+    assert all(exp[i + 1] == _ref_mul(f, exp[i], g) for i in range(n - 1))
+    assert exp[n] == exp[0] == 1
+    assert sorted(exp[:n]) == list(range(1, f.q))
+
+
 def test_table_edge_cases():
     for f in (make_field(5), make_field(2, 3), make_field(3, 2)):
         assert f.pow_idx(0, 0) == 1

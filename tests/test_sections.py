@@ -16,6 +16,7 @@ from cisect import (
     eval_poly,
     hooley_condition_census,
     lift_to,
+    load_variety,
     make_field,
     rational_points,
     second_moment,
@@ -27,9 +28,16 @@ from cisect.errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMi
 from cisect.linalg import rank_idx
 from cisect.sections import _PARALLEL_THRESHOLD, _classify, _mask_counts, _scan_data
 from cisect.space import count_grassmannian
-from cisect.variety import extension_spec
+from cisect.variety import _points_idx, extension_spec
 
-from conftest import field_of, make_cone, make_cubic_surface, make_smooth_quadric, poly
+from conftest import (
+    VARIETY_DIR,
+    field_of,
+    make_cone,
+    make_cubic_surface,
+    make_smooth_quadric,
+    poly,
+)
 
 
 def gamma_of(v, *rows):
@@ -42,6 +50,36 @@ def make_cone_p4(q: int) -> VarietyDescriptor:
     f = field_of(q)
     gen = poly(f, 5, [(1, (1, 1, 0, 0, 0)), (-1, (0, 0, 2, 0, 0))])
     return VarietyDescriptor.build(f, 5, [gen], dim=3, sing_dim=1)
+
+
+def make_line_singular_surface(q: int) -> VarietyDescriptor:
+    """X0^2 X2 + X1^2 X3 in P^3, singular along the line X0 = X1 = 0 but
+    asserted to have isolated singularities: every point of that line, at
+    every level, is a singular point of the s = 0 scan."""
+    f = field_of(q)
+    gen = poly(f, 4, [(1, (2, 0, 1, 0)), (1, (0, 2, 0, 1))])
+    return VarietyDescriptor.build(f, 4, [gen], dim=2, sing_dim=0)
+
+
+def make_conjugate_nodes_surface() -> VarietyDescriptor:
+    """A cubic surface over F_3 smooth at its rational points, with four
+    singular points over F_9 (two conjugate pairs): at level 2 the scan marks
+    new hyperplanes both from singular points and from smooth ones."""
+    f = field_of(3)
+    gen = poly(f, 4, [(2, (0, 0, 2, 1)), (1, (0, 1, 0, 2)), (1, (2, 0, 0, 1)),
+                      (2, (2, 1, 0, 0)), (2, (0, 2, 0, 1))])
+    return VarietyDescriptor.build(f, 4, [gen], dim=2, sing_dim=0)
+
+
+def make_quadric_pair_p4(q: int) -> VarietyDescriptor:
+    """The surface X0 X1 - X2 X3 = X0^2 + X2 X4 - X3^2 = 0 in P^4: a
+    codimension-2 complete intersection, whose Jacobian has two rows."""
+    f = field_of(q)
+    gens = [
+        poly(f, 5, [(1, (1, 1, 0, 0, 0)), (-1, (0, 0, 1, 1, 0))]),
+        poly(f, 5, [(1, (2, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 1)), (-1, (0, 0, 0, 2, 0))]),
+    ]
+    return VarietyDescriptor.build(f, 5, gens, dim=2, sing_dim=0)
 
 
 def test_section_count_known_values():
@@ -365,6 +403,23 @@ SCAN_CASES = {
     "projective-cone-p4-f2-s1": (make_cone_p4(2), 1, "projective"),
     "projective-cone-p4-f3-s1": (make_cone_p4(3), 1, "projective"),
 }
+# the FieldElement walk needs tens of seconds on the P^4 cone over F_3
+FIELDELEMENT_CASES = [c for c in SCAN_CASES if c != "projective-cone-p4-f3-s1"]
+
+# every s = 0 file of the corpus at max_ext 1 and 2, except cone13 at
+# max_ext 2, whose forward walk over the 28 731 points of V(F_169) takes
+# minutes; then a surface singular along a line, one with singular points
+# only over F_9, and a codimension-2 intersection in P^4
+CORPUS = {path.stem: load_variety(path) for path in sorted(VARIETY_DIR.glob("*.var"))}
+S0_CASES = {name: v for name, v in CORPUS.items() if v.asserted_sing_dim == 0}
+S0_CASES["line-singular-f5"] = make_line_singular_surface(5)
+S0_CASES["conjugate-nodes-f3"] = make_conjugate_nodes_surface()
+S0_CASES["quadric-pair-p4-f3"] = make_quadric_pair_p4(3)
+for name, v in S0_CASES.items():
+    for max_ext in (1, 2):
+        if (name, max_ext) != ("cone13", 2):
+            for mode in ("affine", "projective"):
+                SCAN_CASES[f"{mode}-{name}-x{max_ext}"] = (v, max_ext, mode)
 
 
 @pytest.mark.parametrize("case", SCAN_CASES)
@@ -374,8 +429,7 @@ def test_scan_matches_oracle_walk(case):
     assert rep == tuple_walk_scan(v, mode, max_ext)
 
 
-# the FieldElement walk needs tens of seconds on the P^4 cone over F_3
-@pytest.mark.parametrize("case", [c for c in SCAN_CASES if c != "projective-cone-p4-f3-s1"])
+@pytest.mark.parametrize("case", FIELDELEMENT_CASES)
 def test_tuple_walk_matches_fieldelement_oracle(case):
     v, max_ext, mode = SCAN_CASES[case]
     assert tuple_walk_scan(v, mode, max_ext) == oracle_scan(v, mode, max_ext)
@@ -397,9 +451,16 @@ def random_surfaces(draw):
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(v=random_surfaces(), mode=st.sampled_from(["affine", "projective"]))
-def test_scan_factorisation_matches_tuple_walk(v, mode):
-    assert report_tuple(bertini_scan(v, mode=mode)) == tuple_walk_scan(v, mode)
+@given(
+    v=random_surfaces(),
+    mode=st.sampled_from(["affine", "projective"]),
+    max_ext=st.sampled_from([1, 2]),
+)
+def test_scan_factorisation_matches_tuple_walk(v, mode, max_ext):
+    if v.field.k > 1:
+        max_ext = 1  # extension levels need a prime base field
+    rep = report_tuple(bertini_scan(v, max_ext=max_ext, mode=mode))
+    assert rep == tuple_walk_scan(v, mode, max_ext)
 
 
 def test_scan_classifies_each_subspace_once(monkeypatch):
@@ -415,6 +476,34 @@ def test_scan_classifies_each_subspace_once(monkeypatch):
         calls.clear()
         bertini_scan(v, mode=mode)
         assert len(calls) == len(set(calls)) == count_grassmannian(3, 2, 5) == 1210
+
+
+@pytest.mark.parametrize(
+    "v,max_ext",
+    [(make_cone(13), 1), (make_cone(5), 2), (make_cone(17), 1)],
+    ids=["cone13", "cone5-x2", "cone17"],
+)
+def test_hyperplane_scan_works_from_the_points(monkeypatch, v, max_ext):
+    """An s = 0 scan builds no incidence mask and classifies no subspace: it
+    reduces the Jacobian once at each point of each level, in this process,
+    even when there are enough hyperplanes (cone17) for an s >= 1 sweep to
+    start a pool."""
+    calls = dict.fromkeys(["_incidence_mask", "_classify", "rank_idx", "echelon_idx"], 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(sections, name, counting(name, getattr(sections, name)))
+    points = sum(len(_points_idx(v, e)) for e in range(1, max_ext + 1))
+    for mode in ("affine", "projective"):
+        for name in calls:
+            calls[name] = 0
+        bertini_scan(v, max_ext=max_ext, mode=mode, workers=2)
+        assert calls == {"_incidence_mask": 0, "_classify": 0, "rank_idx": 0, "echelon_idx": points}
 
 
 def test_scan_worker_pool_matches_serial():

@@ -7,7 +7,7 @@ import pytest
 from cisect import count_affine, count_projective, enumerate_affine, enumerate_projective, make_field
 from cisect.errors import BudgetExceeded
 from cisect.ffield import FieldSpec
-from cisect.linalg import rank_idx, rref_idx
+from cisect.linalg import nullspace_idx, rank_idx, rref_idx
 from cisect.space import (
     ProjPoint,
     count_grassmannian,
@@ -155,3 +155,22 @@ def test_rref_of_canonical_rows_costs_no_inversion(monkeypatch):
     monkeypatch.undo()
     # a scaled row needs its pivot inverted: 2 * 3 = 1 in F_4
     assert rref_idx([(0, 2, 1, 3)], f4) == ((0, 1, 3, 2),)
+
+
+@pytest.mark.parametrize("q, rows", [(2, 3), (3, 2), (4, 2)])
+def test_nullspace_is_the_annihilator(q, rows):
+    """For every matrix of ``rows`` rows over F_q^3, including dependent and
+    zero ones, the null space basis is independent, vanishes on the rows and
+    has dimension 3 - rank; and the brute-force annihilator is its span."""
+    spec = field_of(q)
+    vectors = list(itertools.product(range(q), repeat=3))
+    for matrix in itertools.product(vectors, repeat=rows):
+        basis = nullspace_idx(matrix, spec, 3)
+        assert len(basis) == 3 - rank_idx(matrix, spec)
+        assert not basis or rref_idx(basis, spec) is not None
+        kernel = {y for y in vectors if all(spec.dot_idx(r, y) == 0 for r in matrix)}
+        span = {
+            tuple(spec.dot_idx(c, col) for col in zip(*basis)) if basis else (0, 0, 0)
+            for c in itertools.product(range(q), repeat=len(basis))
+        }
+        assert span == kernel, matrix
