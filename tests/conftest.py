@@ -96,6 +96,17 @@ def make_cubic_surface(q: int = 3) -> VarietyDescriptor:
     return VarietyDescriptor.build(f, 4, [gen], dim=2, sing_dim=0)
 
 
+def make_quadric_pair_p4(q: int) -> VarietyDescriptor:
+    """The surface X0 X1 - X2 X3 = X0^2 + X2 X4 - X3^2 = 0 in P^4: a
+    codimension-2 complete intersection, whose Jacobian has two rows."""
+    f = field_of(q)
+    gens = [
+        poly(f, 5, [(1, (1, 1, 0, 0, 0)), (-1, (0, 0, 1, 1, 0))]),
+        poly(f, 5, [(1, (2, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 1)), (-1, (0, 0, 0, 2, 0))]),
+    ]
+    return VarietyDescriptor.build(f, 5, gens, dim=2, sing_dim=0)
+
+
 def moment_corpus(q: int) -> list[VarietyDescriptor]:
     """The six-variety corpus used by the moment and census suites."""
     return [

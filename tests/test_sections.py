@@ -35,6 +35,7 @@ from conftest import (
     field_of,
     make_cone,
     make_cubic_surface,
+    make_quadric_pair_p4,
     make_smooth_quadric,
     poly,
 )
@@ -69,17 +70,6 @@ def make_conjugate_nodes_surface() -> VarietyDescriptor:
     gen = poly(f, 4, [(2, (0, 0, 2, 1)), (1, (0, 1, 0, 2)), (1, (2, 0, 0, 1)),
                       (2, (2, 1, 0, 0)), (2, (0, 2, 0, 1))])
     return VarietyDescriptor.build(f, 4, [gen], dim=2, sing_dim=0)
-
-
-def make_quadric_pair_p4(q: int) -> VarietyDescriptor:
-    """The surface X0 X1 - X2 X3 = X0^2 + X2 X4 - X3^2 = 0 in P^4: a
-    codimension-2 complete intersection, whose Jacobian has two rows."""
-    f = field_of(q)
-    gens = [
-        poly(f, 5, [(1, (1, 1, 0, 0, 0)), (-1, (0, 0, 1, 1, 0))]),
-        poly(f, 5, [(1, (2, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 1)), (-1, (0, 0, 0, 2, 0))]),
-    ]
-    return VarietyDescriptor.build(f, 5, gens, dim=2, sing_dim=0)
 
 
 def test_section_count_known_values():

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import itertools
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cisect import (
+    SparsePolynomial,
     VarietyDescriptor,
     count_points,
     jacobian_rank_at,
@@ -28,13 +33,20 @@ from cisect.errors import (
     UnsupportedExtension,
     ZeroGenerator,
 )
-from cisect.space import ProjPoint
+from cisect import variety
+from cisect.ffield import FieldSpec
+from cisect.mpoly import eval_idx, lift_to
+from cisect.space import ProjPoint, count_projective, iter_projective_idx
+from cisect.variety import _points_idx, extension_spec
 
 from conftest import (
     VARIETY_DIR,
+    field_of,
+    make_conic,
     make_cone,
     make_empty,
     make_fermat_cubic,
+    make_quadric_pair_p4,
     make_single_point,
     make_smooth_quadric,
     poly,
@@ -256,3 +268,191 @@ def test_parse_variety_explicit_modulus():
     v = parse_variety(text)
     assert v.field.modulus == (2, 2, 1)
     assert count_points(v) == 1
+
+
+# ---------------------------------------------------------------------------
+# block enumeration against a per-point walk
+
+
+def oracle_points(v: VarietyDescriptor, ext: int) -> tuple[tuple[int, ...], ...]:
+    """Every generator evaluated from scratch at every point of P^n(F_{q^e}),
+    in enumeration order."""
+    spec = extension_spec(v, ext)
+    gens = [lift_to(g, spec) for g in v.generators]
+    return tuple(
+        x for x in iter_projective_idx(spec.q, v.ambient_dim)
+        if all(eval_idx(g, x, spec) == 0 for g in gens)
+    )
+
+
+def corpus_levels(cap: int = 25_000):
+    for path in sorted(VARIETY_DIR.glob("*.var")):
+        v = load_variety(path)
+        for e in (1, 2, 3) if v.field.k == 1 else (1,):
+            if count_projective(v.field.q**e, v.ambient_dim) <= cap:
+                yield pytest.param(v, e, id=f"{path.stem}-e{e}")
+
+
+@pytest.mark.parametrize("v,ext", corpus_levels())
+def test_points_match_oracle_on_corpus(v, ext):
+    assert _points_idx(v, ext) == oracle_points(v, ext)
+
+
+def make_points17() -> VarietyDescriptor:
+    """Three points of P^1 over F_17: X0^2 X1 + 3 X0 X1^2."""
+    f = field_of(17)
+    return VarietyDescriptor.build(
+        f, 2, [poly(f, 2, [(1, (2, 1)), (3, (1, 2))])], dim=0, sing_dim=-1
+    )
+
+
+def make_fermat_surface5() -> VarietyDescriptor:
+    """X0^3 + 2 X1^3 + 3 X2^3 + 4 X3^3 over F_5."""
+    f = field_of(5)
+    terms = [(c, tuple(int(i == j) * 3 for j in range(4))) for i, c in enumerate((1, 2, 3, 4))]
+    return VarietyDescriptor.build(f, 4, [poly(f, 4, terms)], dim=2, sing_dim=-1)
+
+
+def make_product_lines(q: int) -> VarietyDescriptor:
+    """X0 X1 in P^2: it vanishes on the whole stratum X0 = 0."""
+    f = field_of(q)
+    return VarietyDescriptor.build(
+        f, 3, [poly(f, 3, [(1, (1, 1, 0))])], dim=1, sing_dim=1
+    )
+
+
+def make_no_last_coordinate(q: int) -> VarietyDescriptor:
+    """X0 X2 - X1^2 + X0^2 in P^3: no generator term holds X3."""
+    f = field_of(q)
+    gen = poly(f, 4, [(1, (1, 0, 1, 0)), (-1, (0, 2, 0, 0)), (1, (2, 0, 0, 0))])
+    return VarietyDescriptor.build(f, 4, [gen], dim=2, sing_dim=0)
+
+
+def make_last_coordinate_factor(q: int) -> VarietyDescriptor:
+    """X2 (X0^2 + X0 X1 + X1 X2 + X2^2) in P^2: on X0 = 1 a power of t = X2
+    divides it, and the rest has three terms in t."""
+    f = field_of(q)
+    gen = poly(f, 3, [(1, (2, 0, 1)), (1, (1, 1, 1)), (1, (0, 1, 2)), (1, (0, 0, 3))])
+    return VarietyDescriptor.build(f, 3, [gen], dim=1, sing_dim=1)
+
+
+def make_binary_cubic(q: int) -> VarietyDescriptor:
+    """X0^3 + 2 X0^2 X1 + X0 X1^2 + X1^3 in P^1: one prefix per stratum, and
+    three or four terms in t."""
+    f = field_of(q)
+    gen = poly(f, 2, [(1, (3, 0)), (2, (2, 1)), (1, (1, 2)), (1, (0, 3))])
+    return VarietyDescriptor.build(f, 2, [gen], dim=0, sing_dim=-1)
+
+
+SHAPES = {
+    "conic-f128": (make_conic(2), 7),  # p = 2, XOR rows
+    "points17-f4913": (make_points17(), 3),  # odd p, n = 1
+    "fermat-surface-f25": (make_fermat_surface5(), 2),
+    "hyperbolic-f25": (make_smooth_quadric(5), 2),
+    "cubic-surface-f27": (load_variety(VARIETY_DIR / "cubic_surface3.var"), 3),
+    "quadric-pair-f3": (make_quadric_pair_p4(3), 1),
+    "quadric-pair-f9": (make_quadric_pair_p4(3), 2),
+    "cone-f4": (make_cone(4), 1),
+    "fermat-cubic-f4": (make_fermat_cubic(4), 1),
+    "conic-f4": (make_conic(4), 1),
+    "no-last-coordinate-f7": (make_no_last_coordinate(7), 1),
+    "no-last-coordinate-f8": (make_no_last_coordinate(2), 3),
+    "product-lines-f5": (make_product_lines(5), 1),
+    "product-lines-f9": (make_product_lines(3), 2),
+    "product-lines-f4": (make_product_lines(4), 1),
+    "last-coordinate-factor-f7": (make_last_coordinate_factor(7), 1),
+    "last-coordinate-factor-f8": (make_last_coordinate_factor(2), 3),
+    "last-coordinate-factor-f9": (make_last_coordinate_factor(3), 2),
+    "binary-cubic-f7": (make_binary_cubic(7), 1),
+    "binary-cubic-f32": (make_binary_cubic(2), 5),
+    "binary-cubic-f243": (make_binary_cubic(3), 5),
+}
+
+
+@pytest.mark.parametrize("case", SHAPES)
+def test_points_match_oracle_on_shapes(case):
+    v, ext = SHAPES[case]
+    assert _points_idx(v, ext) == oracle_points(v, ext)
+
+
+@st.composite
+def random_varieties(draw):
+    """A complete intersection of one or two random forms in P^1..P^3 over
+    F_2, F_3, F_4 or F_5; the asserted singular dimension is its dimension,
+    which is always sound."""
+    f = field_of(draw(st.sampled_from([2, 3, 4, 5])))
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, min(2, nvars - 1)))):
+        degree = draw(st.integers(1, 3))
+        monomials = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+        terms = draw(st.lists(
+            st.tuples(st.integers(1, f.q - 1), st.sampled_from(monomials)), min_size=1, max_size=6,
+        ))
+        gen = SparsePolynomial.from_terms(f, nvars, [(f.from_index(c), e) for c, e in terms])
+        assume(not gen.is_zero)
+        gens.append(gen)
+    dim = nvars - 1 - len(gens)
+    return VarietyDescriptor.build(f, nvars, gens, dim=dim, sing_dim=dim)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(v=random_varieties(), ext=st.sampled_from([1, 2]))
+def test_points_match_oracle_on_random_varieties(v, ext):
+    if v.field.k > 1:
+        ext = 1  # extension levels need a prime base field
+    assert _points_idx(v, ext) == oracle_points(v, ext)
+
+
+@pytest.mark.parametrize(
+    "v,ext",
+    [(load_variety(VARIETY_DIR / "cone5.var"), 3), (make_quadric_pair_p4(3), 3)],
+    ids=["cone5-f125", "quadric-pair-f27"],
+)
+def test_points_work_once_per_prefix(monkeypatch, v, ext):
+    """Enumeration evaluates a generator at most once per prefix
+    X_{c+1}..X_{n-1}, not once per point: eval_idx serves only the last
+    stratum, and the field's scalar arithmetic stays within two calls per
+    prefix and generator, against q points per prefix."""
+    calls = {"eval_idx": 0, "arith": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(variety, "eval_idx", counting("eval_idx", eval_idx))
+    for name in ("sum_logs", "add_idx", "sub_idx", "neg_idx", "mul_idx", "inv_idx", "pow_idx"):
+        monkeypatch.setattr(FieldSpec, name, counting("arith", getattr(FieldSpec, name)))
+    _points_idx.cache_clear()
+    q, n, gens = v.field.q**ext, v.ambient_dim, v.codim
+    # one prefix per point of P^{n-1}, and the last stratum's single point
+    prefixes = count_projective(q, n - 1) + 1
+    _points_idx(v, ext)
+    assert calls["eval_idx"] <= gens
+    assert calls["arith"] <= 2 * gens * prefixes
+
+
+def test_points_on_a_line_keep_no_power_rows():
+    """P^1 has one prefix per stratum, so enumerating it keeps no row of
+    powers of t: the traced peak stays below one byte per element of F_q,
+    where a kept row of q - 1 ints takes about 36 bytes per element."""
+    v = make_binary_cubic(2)
+    spec = extension_spec(v, 13)
+    assert spec.tables  # built before tracing starts
+    _points_idx.cache_clear()
+    tracemalloc.start()
+    try:
+        _points_idx(v, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.q
+
+
+def test_cone_counts_over_large_extensions():
+    """Cones over a conic have q^2 + q + 1 points; at q = 256 that is a
+    walk over the 16.8M points of P^3(F_256)."""
+    assert count_points(load_variety(VARIETY_DIR / "cone2.var"), 8) == 256**2 + 256 + 1 == 65793
+    assert count_points(load_variety(VARIETY_DIR / "cone5.var"), 3) == 125**2 + 125 + 1 == 15751
