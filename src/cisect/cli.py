@@ -240,7 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep affine coefficient tuples or projective representatives",
     )
     sp.add_argument("--max-ext", type=_positive, default=1, help="check points up to F_{q^E}")
-    sp.add_argument("--workers", type=_positive, default=1, help="parallel worker count")
+    sp.add_argument(
+        "--workers", type=_positive, default=1,
+        help="accepted for compatibility; scans run in one process",
+    )
     sp.add_argument("-o", "--output", type=Path, default=None, help="CSV output path")
 
     sp = sub.add_parser("eta", help="multihomogeneous zero cap calculator")

@@ -1,68 +1,15 @@
 """Exact row-echelon rank and reduced row-echelon forms over a finite field.
 
-Rows are sequences of packed element indices (see ffield.FieldSpec).  The
-rank's prime-field branch works directly on integers mod p, which is the hot
-path for every smoothness scan; the reduced form keys a subspace by its
-spanning rows, and the null space lists the covectors that vanish on them.
+Rows are sequences of packed element indices (see ffield.FieldSpec).  One
+elimination, ``echelon_idx``, serves everything here: the rank is its pivot
+count, the reduced form keys a subspace by its spanning rows, and the null
+space lists the covectors that vanish on them.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .ffield import FieldSpec
-
-
-def rank_idx(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:
-    """Rank of the matrix whose entries are packed field-element indices."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    if spec.k == 1:
-        p = spec.p
-        for col in range(ncols):
-            pivot = None
-            for i in range(rank, len(work)):
-                if work[i][col] % p:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv = pow(work[rank][col], p - 2, p)
-            prow = work[rank]
-            for i in range(rank + 1, len(work)):
-                f = work[i][col] * inv % p
-                if f:
-                    row = work[i]
-                    for j in range(col, ncols):
-                        row[j] = (row[j] - f * prow[j]) % p
-            rank += 1
-            if rank == len(work):
-                break
-        return rank
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = spec.inv_idx(work[rank][col])
-        prow = work[rank]
-        for i in range(rank + 1, len(work)):
-            f = spec.mul_idx(work[i][col], inv)
-            if f:
-                row = work[i]
-                for j in range(col, ncols):
-                    row[j] = spec.sub_idx(row[j], spec.mul_idx(f, prow[j]))
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
 
 
 def echelon_idx(
@@ -92,6 +39,11 @@ def echelon_idx(
                 ]
         pivots.append(col)
     return work[: len(pivots)], pivots
+
+
+def rank_idx(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:
+    """Rank of the matrix whose entries are packed field-element indices."""
+    return len(echelon_idx(rows, spec)[1])
 
 
 def rref_idx(

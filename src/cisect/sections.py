@@ -12,33 +12,31 @@ which holds for the bundled corpus but not in general.
 
 A tuple's verdict depends only on the subspace W its rows span: so do the
 points on the section and the rank of the Jacobian stacked on the rows.  The
-scan therefore classifies each subspace of G(s+1, n+1)(F_q) once and weights
+scan therefore decides each subspace of G(s+1, n+1)(F_q) once and weights
 it by the number of tuples that span it: |GL_{s+1}(F_q)| = prod_{i=0}^{s}
 (q^{s+1} - q^i) ordered bases in affine mode, and that divided by
 (q-1)^{s+1} in projective mode, whose rows are canonical representatives.
 Degenerate tuples are the total minus the rest.
 
-At s = 0 a subspace is one canonical covector w, and the scan lists the
-failing ones from the points: the rational w that fail at a point x form a
-subspace K_x (the row space of the Jacobian at a smooth x, x^perp at a
-singular one, cut down to its rational vectors at levels e >= 2), so one
-walk over the points of each level marks every failing w with its first
-witness, and no incidence mask or per-section rank test is needed.  At
-s >= 1 the scan sweeps the subspaces as reduced row-echelon forms and
-classifies each against the points on it; that sweep splits across workers
-by subspace index range.  Either way witnesses come in tuple enumeration
-order (affine coefficient tuples, or products of canonical projective
+The failing subspaces are listed from the points, for every s.  At a point
+x of V over F_{q^e}, let X be the rational covectors that vanish at x and
+R_x the row space of the Jacobian there, which Euler's relation puts inside
+x^perp.  A W inside X fails at x when x is singular, and at a smooth x iff
+its span over F_{q^e} meets R_x.  So one walk over the points of each
+level, in enumeration order, marks every failing W with its first witness,
+and no incidence mask or per-section rank test is needed.  Witnesses come in tuple enumeration order
+(affine coefficient tuples, or products of canonical projective
 representatives): a walk from index 0 looks each tuple's reduced form up
 among the failing subspaces and stops at the tenth hit, without classifying
-anything.  So reports are deterministic for any worker count.
+anything.  The scan runs in one process, so reports do not depend on the
+worker count.
 
-Section counts, the s >= 1 sweep and the census rest on one predicate: does
-the covector w vanish at the point x?  A covector's incidence mask over a
-point list has bit i set iff w annihilates the i-th point, and the points of
-a section are the AND of its rows' masks.  Scaling w by a nonzero constant
-leaves its mask unchanged, so masks are built once per projective covector
-class and shared by section counts, the sweep's "which points lie on this
-section" filter and the census.
+Section counts and the census rest on one predicate: does the covector w
+vanish at the point x?  A covector's incidence mask over a point list has
+bit i set iff w annihilates the i-th point, and the points of a section are
+the AND of its rows' masks.  Scaling w by a nonzero constant leaves its mask
+unchanged, so masks are built once per projective covector class and shared
+by section counts and the census.
 
 Second-moment and census sums run over ALL affine covector tuples, including
 linearly dependent ones, and count section points projectively; that reading
@@ -78,6 +76,7 @@ from .space import (
 )
 from .variety import VarietyDescriptor, _jacobian_idx, _points_idx, extension_spec
 
+# scans start no worker pool; perfbench/tracer.py's scan note is the only reader
 _PARALLEL_THRESHOLD = 1 << 12
 
 
@@ -167,43 +166,6 @@ def section_count(v: VarietyDescriptor, gamma: SectionTuple, ext: int = 1) -> in
     return _section_mask(rows, _points_idx(v, ext), spec).bit_count()
 
 
-def _scan_data(v: VarietyDescriptor, max_ext: int):
-    """Per extension level: (ext, spec, points, evaluated Jacobian rows, mask
-    memo keyed by covector)."""
-    out = []
-    for e in range(1, max_ext + 1):
-        spec = extension_spec(v, e)
-        pts = _points_idx(v, e)
-        jac = _jacobian_idx(v, e)
-        evaluated = [
-            [[eval_idx(d, x, spec) for d in row] for row in jac] for x in pts
-        ]
-        out.append((e, spec, pts, evaluated, {}))
-    return out
-
-
-def _classify(rows: Sequence[tuple[int, ...]], data, full_rank: int):
-    """(PASS or RANK_FAIL, witness point, witness ext) for linearly
-    independent covectors; the witness is the first failing point in
-    enumeration order.  Masks are memoised per covector, so rows scaled to a
-    leading 1, such as a reduced row-echelon form, share one mask per
-    projective class."""
-    for e, spec, pts, jacrows, memo in data:
-        on = (1 << len(pts)) - 1
-        for w in rows:
-            mask = memo.get(w)
-            if mask is None:
-                mask = memo[w] = _incidence_mask(w, pts, spec)
-            on &= mask
-        while on:
-            low = on & -on
-            on ^= low
-            i = low.bit_length() - 1
-            if rank_idx([*jacrows[i], *rows], spec) < full_rank:
-                return SectionClass.RANK_FAIL, pts[i], e
-    return SectionClass.PASS, None, None
-
-
 def section_smooth_check(
     v: VarietyDescriptor, gamma: SectionTuple, max_ext: int = 1
 ) -> SectionVerdict:
@@ -216,19 +178,29 @@ def section_smooth_check(
         raise ValueError("max_ext must be >= 1")
     rows = _check_gamma(v, gamma)
     form = rref_idx(rows, v.field)
-    kind, pt, e = SectionClass.DEGENERATE, None, None
+    kind, witness, ext = SectionClass.DEGENERATE, None, None
     if form is not None:
-        kind, pt, e = _classify(form, _scan_data(v, max_ext), v.codim + s + 1)
-    witness = None
-    if pt is not None:
-        spec = extension_spec(v, e)
-        witness = ProjPoint(tuple(spec.from_index(i) for i in pt))
+        kind = SectionClass.PASS
+        full = v.codim + s + 1
+        for e in range(1, max_ext + 1):
+            spec = extension_spec(v, e)
+            jac = _jacobian_idx(v, e)
+            for x in _points_idx(v, e):
+                if any(spec.dot_idx(w, x) for w in form):
+                    continue
+                stacked = [[eval_idx(d, x, spec) for d in row] for row in jac]
+                if rank_idx([*stacked, *form], spec) < full:
+                    kind, ext = SectionClass.RANK_FAIL, e
+                    witness = ProjPoint(tuple(spec.from_index(i) for i in x))
+                    break
+            if witness is not None:
+                break
     return SectionVerdict(
         gamma=gamma,
         point_count=_section_mask(rows, _points_idx(v, 1), v.field).bit_count(),
         classification=kind,
         witness=witness,
-        witness_ext=e,
+        witness_ext=ext,
         checked_extensions=max_ext,
     )
 
@@ -298,73 +270,93 @@ def _iter_tuples(
     return itertools.product(covectors, repeat=s + 1)
 
 
-def _sweep(v: VarietyDescriptor, data, start: int, stop: int):
-    """(number passing, {form: (witness point, ext)} for those failing) over
-    the reduced row-echelon forms with indices start..stop."""
-    s = v.asserted_sing_dim
-    full = v.codim + s + 1
-    passing = 0
-    failing = {}
-    for form in iter_rref_idx(v.field.q, s + 1, v.nvars, start, stop):
-        kind, pt, e = _classify(form, data, full)
-        if kind is SectionClass.PASS:
-            passing += 1
-        else:
-            failing[form] = (pt, e)
-    return passing, failing
+def _digit_rows(x: Sequence[int], e: int, spec: FieldSpec):
+    """x itself at e = 1; for e >= 2 the base-p digit vectors of x, whose
+    common annihilator among rational covectors is that of x."""
+    return [x] if e == 1 else list(zip(*map(spec.coeffs_of, x)))
 
 
-def _mark_hyperplanes(v: VarietyDescriptor, max_ext: int):
-    """(number passing, {(w,): (witness point, ext)} for those failing) over
-    the canonical covectors w of an s = 0 scan, from one walk over the points.
+def _span_forms(k: int, basis: Sequence[Sequence[int]], base: FieldSpec):
+    """The k-dimensional subspaces of the span of independent rows, one
+    product C . basis for each reduced k-row form C.  When the basis is
+    reduced so is each product, and no elimination runs."""
+    cols = list(zip(*basis))
+    # every row of a reduced form is a canonical vector: combine each once
+    image = {
+        c: tuple(base.dot_idx(c, col) for col in cols)
+        for (c,) in iter_rref_idx(base.q, 1, len(basis))
+    }
+    for form in iter_rref_idx(base.q, k, len(basis)):
+        yield tuple(map(image.__getitem__, form))
 
-    Let J be the Jacobian at a point x of V over F_{q^e}.  A rational w fails
-    at x iff w . x = 0 and rank [J; w] < codim + 1.  At a singular x (rank J
-    < codim) that is w in x^perp.  At a smooth x it is w in the row space of
-    J, which Euler's relation puts inside x^perp.  For e >= 2 the base field
-    is F_p and a rational w has only a constant base-p digit, so w . x = 0
-    holds iff it holds digit by digit; and w = sum c_i r_i over the reduced
-    rows r_i of J (c_i is w at the i-th pivot) is rational iff the higher
-    digits of its non-pivot entries vanish.  Walking the levels, then the
-    points, in enumeration order and keeping each w's first mark gives the
-    witness the subspace sweep finds.  A point marks at most the covectors
-    through it, so the marks never outnumber the sweep's incidence tests.
+
+def _mark_subspaces(v: VarietyDescriptor, max_ext: int):
+    """(number passing, {reduced form: (witness point, ext)} for those
+    failing) over the (s+1)-subspaces W of covectors, from one walk over the
+    points.
+
+    Let J be the Jacobian at a point x of V over F_{q^e}, R its row space and
+    X the rational covectors that vanish at x.  For e >= 2 the base field is
+    F_p and a rational w has only a constant base-p digit, so w . x = 0 holds
+    iff w vanishes on each base-p digit vector of x.  A rational W fails at x
+    iff W lies in X and rank [J; W] < codim + s + 1.  At a singular x (rank
+    J < codim) that is every W in X.  At a smooth x it is every W in X whose
+    span over F_{q^e} meets R.  A nonzero mu of R lies in that span iff W
+    holds the digit vectors of mu, which span U_mu, the least rational
+    subspace whose span holds mu.  So the failing W at x are the W in X that
+    contain U_mu for some mu in R that vanishes on x's digit vectors: U_mu
+    plus an (s + 1 - dim U_mu)-subspace of the rows of X whose pivots lead no
+    row of U_mu.  At e = 1 Euler's relation puts R inside X, and U_mu is the
+    line through mu.  Walking the levels, then the points, in enumeration
+    order and keeping each W's first mark gives the first point at which W
+    fails; the walk stops once every W has failed.
     """
     base = v.field
-    p = base.p
+    s = v.asserted_sing_dim
+    subspaces = count_grassmannian(base.q, s + 1, v.nvars)
     failing = {}
     for e in range(1, max_ext + 1):
         spec = extension_spec(v, e)
         jac = _jacobian_idx(v, e)
         for x in _points_idx(v, e):
-            form, pivots = echelon_idx([[eval_idx(d, x, spec) for d in row] for row in jac], spec)
-            if len(pivots) < v.codim:
-                # singular: x^perp, digit by digit when e >= 2
-                rows = [x] if e == 1 else list(zip(*map(spec.coeffs_of, x)))
-                basis = nullspace_idx(rows, base, v.nvars)
-            elif e == 1:
-                basis = form  # smooth: the row space of J
-            else:
-                # smooth: the combinations c of J's reduced rows whose
-                # non-pivot entries have no higher digit
-                digits = [
-                    [r[j] // p**t % p for r in form]
-                    for j in range(v.nvars) if j not in pivots for t in range(1, e)
-                ]
-                basis = [
-                    tuple(sum(ci * (a % p) for ci, a in zip(c, col)) % p for col in zip(*form))
-                    for c in nullspace_idx(digits, base, len(form))
-                ]
-            if not basis:
+            if len(failing) == subspaces:
+                return 0, failing
+            form = echelon_idx([[eval_idx(d, x, spec) for d in row] for row in jac], spec)[0]
+            smooth = len(form) == v.codim
+            digits = _digit_rows(x, e, spec)
+            if s or not smooth:
+                perp = rref_idx(nullspace_idx(digits, base, v.nvars), base)
+            if not smooth:
+                for w in _span_forms(s + 1, perp, base):
+                    failing.setdefault(w, (x, e))
                 continue
-            # combinations of reduced rows with canonical coefficients are
-            # canonical covectors
-            cols = list(zip(*rref_idx(basis, base)))
-            for c in iter_projective_idx(base.q, len(basis) - 1):
-                key = (tuple(base.dot_idx(c, col) for col in cols),)
-                if key not in failing:
-                    failing[key] = (x, e)
-    return count_projective(base.q, v.ambient_dim) - len(failing), failing
+            if e == 1:
+                meet = form  # Euler's relation puts R inside X
+            else:
+                # the combinations a . J that vanish on every digit vector of x
+                on_digits = [[spec.dot_idx(r, d) for r in form] for d in digits]
+                meet = rref_idx([
+                    tuple(spec.dot_idx(a, col) for col in zip(*form))
+                    for a in nullspace_idx(on_digits, spec, len(form))
+                ], spec)
+            for (mu,) in _span_forms(1, meet, spec):
+                # U_mu in reduced form: mu is canonical, so U_mu is a line iff
+                # mu is rational
+                if e == 1 or max(mu) < base.q:
+                    least = [mu]
+                elif s:
+                    least = echelon_idx(_digit_rows(mu, e, spec), base)[0]
+                else:
+                    continue
+                if len(least) == s + 1:
+                    failing.setdefault(tuple(map(tuple, least)), (x, e))
+                elif len(least) <= s:
+                    # the leading entry of a reduced row is 1
+                    leads = {row.index(1) for row in least}
+                    rest = [row for row in perp if row.index(1) not in leads]
+                    for w in _span_forms(s + 1 - len(least), rest, base):
+                        failing.setdefault(rref_idx((*least, *w), base), (x, e))
+    return subspaces - len(failing), failing
 
 
 def _earliest_witnesses(
@@ -392,13 +384,12 @@ def bertini_scan(
 
     Affine mode counts all q^{(n+1)(s+1)} coefficient tuples; projective mode
     counts products of canonical representatives.  Each (s+1)-dimensional
-    subspace is classified once and stands for every tuple spanning it: at
-    s = 0 by one walk over the points that marks the failing hyperplanes, at
-    s >= 1 by a sweep over the subspaces, split over ``workers`` processes
-    when there are at least _PARALLEL_THRESHOLD of them.  Reports the count
-    of passing tuples together with the closed-form floor on passing affine
-    tuples (when q exceeds the section degree bound) and the hypersurface
-    ceiling on failures.
+    subspace stands for every tuple spanning it, and one walk over the points
+    of each level marks the failing subspaces with their first witnesses.
+    The scan runs in this process; ``workers`` is checked but changes
+    nothing.  Reports the count of passing tuples together with the
+    closed-form floor on passing affine tuples (when q exceeds the section
+    degree bound) and the hypersurface ceiling on failures.
     """
     if mode not in ("affine", "projective"):
         raise ValueError(f"mode must be 'affine' or 'projective', got {mode!r}")
@@ -426,31 +417,13 @@ def bertini_scan(
     pass_floor = (q - d_bert) ** (s + 1) * q ** (n * (s + 1)) if floor_applicable else 0
     fail_ceiling = zero_bound(q, (d_bert,) * (s + 1), (n,) * (s + 1))
 
-    subspaces = count_grassmannian(q, s + 1, v.nvars)
-    if s == 0:
-        parts = [_mark_hyperplanes(v, max_ext)]
-    elif workers == 1 or subspaces < _PARALLEL_THRESHOLD:
-        parts = [_sweep(v, _scan_data(v, max_ext), 0, subspaces)]
-    else:
-        data = _scan_data(v, max_ext)
-        step = -(-subspaces // workers)
-        ranges = [
-            (v, data, lo, min(lo + step, subspaces)) for lo in range(0, subspaces, step)
-        ]
-        import multiprocessing  # only a pool needs it; it costs every command start-up
-
-        with multiprocessing.get_context().Pool(len(ranges)) as pool:
-            parts = pool.starmap(_sweep, ranges)
-
-    failing = {}
-    for _, part in parts:
-        failing.update(part)
+    passing, failing = _mark_subspaces(v, max_ext)
     # tuples spanning one subspace: its ordered bases, up to scaling each row
     # in projective mode
     weight = prod(q ** (s + 1) - q**i for i in range(s + 1))
     if mode == "projective":
         weight //= (q - 1) ** (s + 1)
-    pass_count = weight * sum(p[0] for p in parts)
+    pass_count = weight * passing
     rank_fail = weight * len(failing)
     witnesses = _earliest_witnesses(v, mode, failing, min(10, rank_fail))
     return ScanReport(

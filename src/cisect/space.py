@@ -6,8 +6,7 @@ stratified by their pivot columns, in itertools.combinations order; within
 one stratum the free entries, read row by row, follow the affine odometer.
 Projective points are the one-row case: canonical representatives (first
 nonzero coordinate scaled to 1), pivot 0 first, then pivot 1, and so on.
-Every order is resumable from an integer index, which is the
-range-splitting seam used by parallel scans.
+Every order is resumable from an integer index.
 """
 from __future__ import annotations
 

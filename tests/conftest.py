@@ -107,6 +107,25 @@ def make_quadric_pair_p4(q: int) -> VarietyDescriptor:
     return VarietyDescriptor.build(f, 5, gens, dim=2, sing_dim=0)
 
 
+def make_cone_p4(q: int) -> VarietyDescriptor:
+    """The cone X0*X1 - X2^2 in P^4 over a conic, singular along the line
+    X0 = X1 = X2 = 0; s = 1 makes its scan mark planes of covectors."""
+    f = field_of(q)
+    gen = poly(f, 5, [(1, (1, 1, 0, 0, 0)), (-1, (0, 0, 2, 0, 0))])
+    return VarietyDescriptor.build(f, 5, [gen], dim=3, sing_dim=1)
+
+
+def make_quadric_pair_p5(q: int) -> VarietyDescriptor:
+    """The threefold X0 X1 - X2 X3 = X0^2 + X2 X4 - X3 X5 = 0 in P^5: a
+    codimension-2 intersection whose s = 1 scan marks planes of covectors."""
+    f = field_of(q)
+    gens = [
+        poly(f, 6, [(1, (1, 1, 0, 0, 0, 0)), (-1, (0, 0, 1, 1, 0, 0))]),
+        poly(f, 6, [(1, (2, 0, 0, 0, 0, 0)), (1, (0, 0, 1, 0, 1, 0)), (-1, (0, 0, 0, 1, 0, 1))]),
+    ]
+    return VarietyDescriptor.build(f, 6, gens, dim=3, sing_dim=1)
+
+
 def moment_corpus(q: int) -> list[VarietyDescriptor]:
     """The six-variety corpus used by the moment and census suites."""
     return [

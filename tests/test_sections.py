@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -25,17 +30,20 @@ from cisect import (
 )
 from cisect import sections
 from cisect.errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch
-from cisect.linalg import rank_idx
-from cisect.sections import _PARALLEL_THRESHOLD, _classify, _mask_counts, _scan_data
-from cisect.space import count_grassmannian
-from cisect.variety import _points_idx, extension_spec
+from cisect.linalg import rank_idx, rref_idx
+from cisect.mpoly import eval_idx
+from cisect.sections import _incidence_mask, _mask_counts
+from cisect.space import count_grassmannian, iter_rref_idx
+from cisect.variety import _jacobian_idx, _points_idx, extension_spec
 
 from conftest import (
     VARIETY_DIR,
     field_of,
     make_cone,
+    make_cone_p4,
     make_cubic_surface,
     make_quadric_pair_p4,
+    make_quadric_pair_p5,
     make_smooth_quadric,
     poly,
 )
@@ -45,12 +53,20 @@ def gamma_of(v, *rows):
     return SectionTuple.from_ints(v.field, rows)
 
 
-def make_cone_p4(q: int) -> VarietyDescriptor:
-    """The cone X0*X1 - X2^2 in P^4 over a conic, singular along the line
-    X0 = X1 = X2 = 0; s = 1 makes its scan sweep planes of covectors."""
+def make_x0x1_p4(q: int) -> VarietyDescriptor:
+    """The hyperplane pair X0*X1 = 0 in P^4, singular along the plane
+    X0 = X1 = 0 (asserted as s = 1 so that the scan runs), which every plane
+    of P^4 meets: every s = 1 section fails."""
     f = field_of(q)
-    gen = poly(f, 5, [(1, (1, 1, 0, 0, 0)), (-1, (0, 0, 2, 0, 0))])
-    return VarietyDescriptor.build(f, 5, [gen], dim=3, sing_dim=1)
+    return VarietyDescriptor.build(f, 5, [poly(f, 5, [(1, (1, 1, 0, 0, 0))])], dim=3, sing_dim=1)
+
+
+def make_cone_p5(q: int) -> VarietyDescriptor:
+    """The cone X0*X1 - X2^2 in P^5, singular along the plane X0 = X1 = X2 =
+    0; s = 2 makes its scan mark 3-dimensional subspaces of covectors."""
+    f = field_of(q)
+    gen = poly(f, 6, [(1, (1, 1, 0, 0, 0, 0)), (-1, (0, 0, 2, 0, 0, 0))])
+    return VarietyDescriptor.build(f, 6, [gen], dim=4, sing_dim=2)
 
 
 def make_line_singular_surface(q: int) -> VarietyDescriptor:
@@ -301,19 +317,93 @@ def scan_covectors(v, mode):
     return sorted(covectors, key=lambda w: (w.index(1), w))  # pivot strata first
 
 
+def scan_data(v, max_ext):
+    """Per extension level: (ext, spec, points, evaluated Jacobian rows, mask
+    memo keyed by covector)."""
+    out = []
+    for e in range(1, max_ext + 1):
+        spec = extension_spec(v, e)
+        pts = _points_idx(v, e)
+        jac = _jacobian_idx(v, e)
+        evaluated = [[[eval_idx(d, x, spec) for d in row] for row in jac] for x in pts]
+        out.append((e, spec, pts, evaluated, {}))
+    return out
+
+
+def classify(rows, data, full_rank):
+    """(PASS or RANK_FAIL, witness point, witness ext) for linearly
+    independent covectors; the witness is the first failing point in
+    enumeration order.  Masks are memoised per covector, so rows scaled to a
+    leading 1, such as a reduced row-echelon form, share one mask per
+    projective class."""
+    for e, spec, pts, jacrows, memo in data:
+        on = (1 << len(pts)) - 1
+        for w in rows:
+            mask = memo.get(w)
+            if mask is None:
+                mask = memo[w] = _incidence_mask(w, pts, spec)
+            on &= mask
+        while on:
+            low = on & -on
+            on ^= low
+            i = low.bit_length() - 1
+            if rank_idx([*jacrows[i], *rows], spec) < full_rank:
+                return SectionClass.RANK_FAIL, pts[i], e
+    return SectionClass.PASS, None, None
+
+
+def sweep_marks(v, max_ext=1):
+    """(number passing, {form: (witness point, ext)} for those failing) by
+    classifying every (s+1)-subspace, as a reduced form, against the points
+    on it."""
+    s = v.asserted_sing_dim
+    data = scan_data(v, max_ext)
+    passing = 0
+    failing = {}
+    for form in iter_rref_idx(v.field.q, s + 1, v.nvars):
+        kind, pt, e = classify(form, data, v.codim + s + 1)
+        if kind is SectionClass.PASS:
+            passing += 1
+        else:
+            failing[form] = (pt, e)
+    return passing, failing
+
+
+def sweep_scan(v, mode, max_ext=1):
+    """(pass, rank_fail, degenerate, first ten witnesses) from the subspace
+    sweep, each subspace weighted by the tuples that span it; witnesses by
+    looking tuples up in scan order."""
+    s = v.asserted_sing_dim
+    q = v.field.q
+    passing, failing = sweep_marks(v, max_ext)
+    covectors = scan_covectors(v, mode)
+    weight = prod(q ** (s + 1) - q**i for i in range(s + 1))
+    if mode == "projective":
+        weight //= (q - 1) ** (s + 1)
+    witnesses = []
+    for index, rows in enumerate(itertools.product(covectors, repeat=s + 1)):
+        if len(witnesses) == 10:
+            break
+        hit = failing.get(rref_idx(rows, v.field))
+        if hit is not None:
+            witnesses.append((index, rows, *hit))
+    degenerate = len(covectors) ** (s + 1) - weight * (passing + len(failing))
+    return weight * passing, weight * len(failing), degenerate, witnesses
+
+
 def tuple_walk_scan(v, mode, max_ext=1):
     """(pass, rank_fail, degenerate, first ten witnesses) by classifying every
     covector tuple in enumeration order, one at a time, with no grouping of
     tuples by the subspace they span."""
     s = v.asserted_sing_dim
-    data = _scan_data(v, max_ext)
+    data = scan_data(v, max_ext)
     counts = {kind: 0 for kind in SectionClass}
     witnesses = []
     for index, rows in enumerate(itertools.product(scan_covectors(v, mode), repeat=s + 1)):
         if rank_idx(rows, v.field) < len(rows):
             counts[SectionClass.DEGENERATE] += 1
             continue
-        kind, pt, e = _classify(rows, data, v.codim + s + 1)
+        kind, pt, e = classify(rows, data, v.codim + s + 1)
         counts[kind] += 1
         if kind is SectionClass.RANK_FAIL and len(witnesses) < 10:
             witnesses.append((index, rows, pt, e))
@@ -396,6 +486,20 @@ SCAN_CASES = {
 # the FieldElement walk needs tens of seconds on the P^4 cone over F_3
 FIELDELEMENT_CASES = [c for c in SCAN_CASES if c != "projective-cone-p4-f3-s1"]
 
+# s >= 1 at deeper levels, in codimension 2 and at s = 2, and a variety on
+# which every plane fails
+SCAN_CASES["projective-cone-p4-f2-s1-x3"] = (make_cone_p4(2), 3, "projective")
+SCAN_CASES["affine-quadric-pair-p5-f2-s1-x2"] = (make_quadric_pair_p5(2), 2, "affine")
+# the tuple walk needs 7 to 90 s on these; the subspace sweep checks them
+SWEPT_CASES = {
+    "projective-cone-p4-f4-s1": (make_cone_p4(4), 1, "projective"),
+    "projective-cone-p4-f5-s1": (make_cone_p4(5), 1, "projective"),
+    "projective-cone-p4-f3-s1-x2": (make_cone_p4(3), 2, "projective"),
+    "projective-cone-p5-f2-s2": (make_cone_p5(2), 1, "projective"),
+    "projective-x0x1-p4-f3-s1": (make_x0x1_p4(3), 1, "projective"),
+}
+SCAN_CASES.update(SWEPT_CASES)
+
 # every s = 0 file of the corpus at max_ext 1 and 2, except cone13 at
 # max_ext 2, whose forward walk over the 28 731 points of V(F_169) takes
 # minutes; then a surface singular along a line, one with singular points
@@ -415,8 +519,21 @@ for name, v in S0_CASES.items():
 @pytest.mark.parametrize("case", SCAN_CASES)
 def test_scan_matches_oracle_walk(case):
     v, max_ext, mode = SCAN_CASES[case]
+    oracle = sweep_scan if case in SWEPT_CASES else tuple_walk_scan
     rep = report_tuple(bertini_scan(v, max_ext=max_ext, mode=mode))
-    assert rep == tuple_walk_scan(v, mode, max_ext)
+    assert rep == oracle(v, mode, max_ext)
+
+
+@pytest.mark.parametrize("case", [
+    "affine-cone-p4-f2-s1",
+    "projective-cone-p4-f3-s1",
+    "projective-cone-p4-f2-s1-x3",
+    "affine-quadric-pair-p5-f2-s1-x2",
+    "affine-cubic-surface-f3-x2",
+])
+def test_sweep_matches_tuple_walk(case):
+    v, max_ext, mode = SCAN_CASES[case]
+    assert sweep_scan(v, mode, max_ext) == tuple_walk_scan(v, mode, max_ext)
 
 
 @pytest.mark.parametrize("case", FIELDELEMENT_CASES)
@@ -453,19 +570,48 @@ def test_scan_factorisation_matches_tuple_walk(v, mode, max_ext):
     assert rep == tuple_walk_scan(v, mode, max_ext)
 
 
-def test_scan_classifies_each_subspace_once(monkeypatch):
-    v = make_cone_p4(3)
-    calls = []
+@st.composite
+def random_threefolds(draw):
+    """A random hypersurface in P^4 or codimension-2 intersection in P^5 over
+    F_2 or F_3, asserted to have a singular locus of dimension at most 1, so
+    that its scan runs with s = 1."""
+    f = field_of(draw(st.sampled_from([2, 3])))
+    nvars = draw(st.sampled_from([5, 6]))
+    gens = []
+    for _ in range(nvars - 4):
+        degree = draw(st.integers(1, 3))
+        monomials = [
+            e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree
+        ]
+        terms = draw(st.lists(
+            st.tuples(st.integers(1, f.q - 1), st.sampled_from(monomials)),
+            min_size=1, max_size=4,
+        ))
+        gen = SparsePolynomial.from_terms(f, nvars, [(f.from_index(c), e) for c, e in terms])
+        assume(not gen.is_zero)
+        gens.append(gen)
+    return VarietyDescriptor.build(f, nvars, gens, dim=3, sing_dim=1)
 
-    def counting(rows, data, full_rank):
-        calls.append(rows)
-        return _classify(rows, data, full_rank)
 
-    monkeypatch.setattr(sections, "_classify", counting)
-    for mode in ("affine", "projective"):
-        calls.clear()
-        bertini_scan(v, mode=mode)
-        assert len(calls) == len(set(calls)) == count_grassmannian(3, 2, 5) == 1210
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(v=random_threefolds(), max_ext=st.sampled_from([1, 2]))
+def test_plane_marks_match_subspace_sweep(v, max_ext):
+    assert sections._mark_subspaces(v, max_ext) == sweep_marks(v, max_ext)
+
+
+def count_calls(monkeypatch, names):
+    """Counters for calls to the named functions of the sections module."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(sections, name, counting(name, getattr(sections, name)))
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -474,35 +620,51 @@ def test_scan_classifies_each_subspace_once(monkeypatch):
     ids=["cone13", "cone5-x2", "cone17"],
 )
 def test_hyperplane_scan_works_from_the_points(monkeypatch, v, max_ext):
-    """An s = 0 scan builds no incidence mask and classifies no subspace: it
-    reduces the Jacobian once at each point of each level, in this process,
-    even when there are enough hyperplanes (cone17) for an s >= 1 sweep to
-    start a pool."""
-    calls = dict.fromkeys(["_incidence_mask", "_classify", "rank_idx", "echelon_idx"], 0)
-
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
-
-    for name in calls:
-        monkeypatch.setattr(sections, name, counting(name, getattr(sections, name)))
+    """An s = 0 scan builds no incidence mask and makes no rank test: it
+    reduces the Jacobian once at each point of each level."""
+    calls = count_calls(monkeypatch, ["_incidence_mask", "rank_idx", "echelon_idx"])
     points = sum(len(_points_idx(v, e)) for e in range(1, max_ext + 1))
     for mode in ("affine", "projective"):
-        for name in calls:
-            calls[name] = 0
+        calls.update(dict.fromkeys(calls, 0))
         bertini_scan(v, max_ext=max_ext, mode=mode, workers=2)
-        assert calls == {"_incidence_mask": 0, "_classify": 0, "rank_idx": 0, "echelon_idx": points}
+        assert calls == {"_incidence_mask": 0, "rank_idx": 0, "echelon_idx": points}
 
 
-def test_scan_worker_pool_matches_serial():
-    # 20306 planes of covectors: enough subspaces for the scan to use a pool
-    v = make_cone_p4(5)
-    assert count_grassmannian(5, 2, 5) >= _PARALLEL_THRESHOLD
-    solo = bertini_scan(v, mode="projective", workers=1)
-    assert solo == bertini_scan(v, mode="projective", workers=2)
-    assert (solo.pass_count, solo.rank_fail_count) == (468750, 140430)
+@pytest.mark.parametrize(
+    "v",
+    [make_cone_p4(3), make_cone_p4(5), make_quadric_pair_p5(2), make_cone_p5(2)],
+    ids=["cone-p4-f3", "cone-p4-f5", "quadric-pair-p5-f2", "cone-p5-f2-s2"],
+)
+def test_subspace_scan_works_from_the_points(monkeypatch, v):
+    """At s >= 1 a level-1 scan classifies no subspace either: no incidence
+    mask, no rank test, and one Jacobian reduction at each point."""
+    calls = count_calls(monkeypatch, ["_incidence_mask", "rank_idx", "echelon_idx"])
+    bertini_scan(v, mode="projective")
+    assert calls == {"_incidence_mask": 0, "rank_idx": 0, "echelon_idx": len(_points_idx(v, 1))}
+
+
+def test_scan_cone_p4_f5_counts():
+    # q^6 of the 20306 planes of covectors pass, each spanned by q(q+1) = 30
+    # products of canonical representatives
+    rep = bertini_scan(make_cone_p4(5), mode="projective")
+    closed = (5**6 * 30, (count_grassmannian(5, 2, 5) - 5**6) * 30)
+    assert (rep.pass_count, rep.rank_fail_count) == closed == (468750, 140430)
+
+
+def test_scan_starts_no_process():
+    """A scan asked for two workers runs in this process and never imports
+    multiprocessing."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    probe = (
+        "import sys; from conftest import make_cone_p4; from cisect import bertini_scan; "
+        "bertini_scan(make_cone_p4(5), mode='projective', workers=2); "
+        "print('multiprocessing' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize("mode", ["affine", "projective"])
