@@ -166,8 +166,10 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 @cache
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # itertools.product yields coefficient tuples in ascending lexicographic
-    # order with the constant term compared first
-    for tail in itertools.product(range(p), repeat=k):
+    # order with the constant term compared first; for k > 1 that term starts
+    # at 1, since X divides every candidate without one
+    lows = range(1 if k > 1 else 0, p)
+    for tail in itertools.product(lows, *[range(p)] * (k - 1)):
         cand = tail + (1,)
         if _is_irreducible(cand, p):
             return cand

@@ -15,12 +15,13 @@ zero-coefficient term so that parse(format(f)) == f holds for every f.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cached_property, partial
+from itertools import compress, islice, product, repeat
+from math import prod
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -33,11 +34,7 @@ from .errors import (
 from .ffield import FieldElement, FieldSpec
 from .space import BUDGET
 
-if TYPE_CHECKING:
-    import numpy as np
-
 MAX_TERM_DEGREE = 1 << 16
-_NUMPY_CHUNK = 1 << 18
 
 
 class _Verdict:
@@ -384,62 +381,237 @@ def check_multihomogeneous(f: SparsePolynomial, grouping: VariableGrouping):
 
 
 # ---------------------------------------------------------------------------
-# zero counting over the full affine coordinate space
+# zeros on a stratum of coordinate space, a block of coordinates at a time
+
+# a block of b coordinates has at most this many values: q^b <= 2^8
+_BLOCK_VALUES = 1 << 8
+# a polynomial on a stratum: (J, [(coefficient, prefix exponents)]) for each
+# exponent vector J of the block, ascending in J
+_Restricted = list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]
 
 
-def _pow_mod_vec(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    import numpy as np
+def _zech_roots(rows: list[Iterable[int]], n: int, zech: Sequence[int], target: int) -> list[int]:
+    """The positions t = 1, 2, ... where the sum of g^s, over one s from
+    each row, is g^target."""
+    out = []
+    for t, logs in enumerate(zip(*rows), 1):
+        acc = -1  # the log of the sum so far; -1 while it is zero
+        for s in logs:
+            if acc < 0:
+                acc = s % n
+            else:
+                z = zech[(s - acc) % n]
+                acc = (acc + z) % n if z >= 0 else -1
+        if acc == target:
+            out.append(t)
+    return out
 
-    result = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            result = result * b % p
-        b = b * b % p
-        e >>= 1
-    return result
+
+class _Line:
+    """Polynomials in the block, the last b coordinates, evaluated at every
+    value of the block at once.
+
+    A polynomial is a list of (J, c): the coefficient index c != 0 of the
+    block monomial with exponents J, ascending in J.  A block value's
+    position is its rank in odometer order (for one coordinate, its index t).
+    ``width`` is the widest block with q^b <= 2^8, so blocks of two or more
+    coordinates occur only for q <= 16.
+
+    For q <= 16 a row is a monomial's value at every block value, c times
+    it is a lookup in the product table, and rows add as an XOR of indices
+    when p = 2 and through the sum table for odd p.  For q >= 17 the block
+    is one coordinate t and a row holds t^j for t = 1, ..., q - 1: its
+    index over a prime field, its discrete log over an extension.  With
+    ``keep`` set, such a row is kept as a list of q - 1 ints and serves
+    every later prefix; otherwise it is a one-pass iterator, for an
+    enumeration with one prefix per stratum (P^1, where q may reach 2^20).
+    """
+
+    def __init__(self, spec: FieldSpec, keep: bool):
+        self.spec = spec
+        self.keep = keep
+        self.rows: dict = {}
+        q = spec.q
+        self.width = 1
+        while q ** (self.width + 1) <= _BLOCK_VALUES:
+            self.width += 1
+        if self.width > 1:
+            self.times = [[spec.mul_idx(a, x) for x in range(q)] for a in range(q)]
+            if spec.p == 2:
+                self.plus = partial(map, operator.xor)
+            else:
+                sums = [[spec.add_idx(a, x) for x in range(q)] for a in range(q)]
+                self.plus = lambda acc, terms: map(
+                    operator.getitem, map(sums.__getitem__, acc), terms
+                )
+
+    def row(self, j: int) -> Iterable[int]:
+        """t^j for t = 1, ..., q - 1: its index over a prime field, its
+        discrete log over an extension."""
+        row = self.rows.get(j)
+        if row is None:
+            spec = self.spec
+            if spec.k == 1:
+                row = map(pow, range(1, spec.q), repeat(j), repeat(spec.p))
+            else:
+                n, _, log, _ = spec.tables
+                row = map(n.__rmod__, map(j.__mul__, islice(log, 1, None)))
+            if self.keep:
+                row = self.rows[j] = list(row)
+        return row
+
+    def block_row(self, exps: tuple[int, ...]) -> list[int]:
+        """The index of the block monomial with exponents ``exps`` at every
+        block value (q <= 16)."""
+        row = self.rows.get(exps)
+        if row is None:
+            spec, times = self.spec, self.times
+            row = [1]
+            for j in exps:
+                powers = [spec.pow_idx(x, j) for x in range(spec.q)]
+                row = [times[a][x] for a in row for x in powers]
+            self.rows[exps] = row
+        return row
+
+    def value(self, poly: list[tuple[tuple[int], int]], t: int) -> int:
+        """The index of poly(t), for one coordinate t."""
+        spec = self.spec
+        if spec.k == 1:
+            return sum(c * pow(t, j, spec.p) for (j,), c in poly) % spec.p
+        log = spec.tables.log
+        return spec.sum_logs(log[c] + j * log[t] for (j,), c in poly)
+
+    def roots(self, poly: list[tuple[tuple[int, ...], int]], ts: list[int] | None) -> list[int] | None:
+        """The positions, ascending, among ``ts`` where ``poly`` vanishes;
+        None stands for every block value, and the zero polynomial keeps
+        ``ts``."""
+        if not poly:
+            return ts
+        if self.width > 1:
+            acc = None
+            for exps, c in poly:
+                row = self.block_row(exps)
+                if ts is not None:
+                    row = map(row.__getitem__, ts)
+                terms = row if c == 1 else map(self.times[c].__getitem__, row)
+                acc = terms if acc is None else self.plus(acc, terms)
+            every = range(self.spec.q ** len(poly[0][0]))
+            return list(compress(every if ts is None else ts, map(operator.not_, acc)))
+        if ts is not None:
+            return [t for t in ts if not self.value(poly, t)]
+        spec, q = self.spec, self.spec.q
+        # t^j0 divides poly: t = 0 is a root iff j0 > 0, and the t != 0 are
+        # the roots of poly / t^j0, whose constant term c0 is nonzero
+        ((j0,), c0), *rest = poly
+        out = [0] if j0 else []
+        if not rest:
+            return out
+        if len(rest) == 1:
+            # a binomial: t^(j1 - j0) = -c0 / c1
+            (j1,), c1 = rest[0]
+            a = spec.mul_idx(spec.neg_idx(c0), spec.inv_idx(c1))
+            key = a if spec.k == 1 else spec.tables.log[a]
+            hits = map(key.__eq__, self.row(j1 - j0))
+        elif spec.k == 1:
+            acc = repeat(c0)
+            for (j,), c in rest:
+                acc = map(operator.add, acc, map(c.__mul__, self.row(j - j0)))
+            hits = map(operator.not_, map(spec.p.__rmod__, acc))
+        elif spec.p == 2:
+            exp, log = spec.tables.exp, spec.tables.log
+            acc = repeat(c0)
+            for (j,), c in rest:
+                terms = map(exp.__getitem__, map(log[c].__add__, self.row(j - j0)))
+                acc = map(operator.xor, acc, terms)
+            hits = map(operator.not_, acc)
+        else:
+            # Zech sums in the log domain, one t at a time, against log(-c0)
+            n, _, log, zech = spec.tables
+            rows = [map(log[c].__add__, self.row(j - j0)) for (j,), c in rest]
+            return out + _zech_roots(rows, n, zech, (log[c0] + n // 2) % n)
+        return out + list(compress(range(1, q), hits))
+
+
+def _restrict(g: SparsePolynomial, c: int, b: int, spec: FieldSpec) -> _Restricted:
+    """g on the stratum whose first nonzero coordinate is X_c = 1, with the
+    block X_{m-b}..X_{m-1} and the prefix X_{c+1}..X_{m-b-1}, m = g.nvars;
+    c = -1 is the stratum with no pivot, all of F_q^m.
+
+    Terms with a positive exponent in X_0..X_{c-1} drop out.  A coefficient
+    is its index over a prime field and its discrete log over an extension.
+    """
+    cut = g.nvars - b
+    log = spec.tables.log if spec.k > 1 else None
+    groups: dict = {}
+    for cidx, exps in g.idx_terms:
+        if not any(exps[:max(c, 0)]):
+            coeff = cidx if log is None else log[cidx]
+            groups.setdefault(exps[cut:], []).append((coeff, exps[c + 1:cut]))
+    return sorted(groups.items())
+
+
+def _coefficients(
+    restricted: _Restricted, prefix: tuple[int, ...], spec: FieldSpec
+) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzero coefficients (J, c_J) of a restricted generator at one
+    prefix, in one pass over its terms."""
+    out = []
+    if spec.k == 1:
+        p = spec.p
+        pows = repeat(p)
+        for exps, terms in restricted:
+            c = sum(a * prod(map(pow, prefix, e, pows)) for a, e in terms) % p
+            if c:
+                out.append((exps, c))
+    else:
+        logs = [spec.tables.log[x] for x in prefix]
+        for exps, terms in restricted:
+            c = spec.sum_logs(a + sum(map(operator.mul, e, logs)) for a, e in terms)
+            if c:
+                out.append((exps, c))
+    return out
+
+
+def _stratum_zeros(
+    gens: Sequence[SparsePolynomial], c: int, b: int, line: _Line
+) -> Iterator[tuple[tuple[int, ...], Sequence[int]]]:
+    """Each prefix of the stratum of pivot c (see ``_restrict``), in
+    odometer order, with the positions of the block values where every
+    generator vanishes.
+
+    A generator is restricted once per stratum, its coefficients in the
+    block are computed once per prefix, and its zeros among all block
+    values are found at once from rows of block monomials.  A generator
+    that vanishes on the whole stratum cuts nothing, and a later generator
+    is evaluated only at the positions that the earlier ones leave.
+    """
+    spec = line.spec
+    restricted = [r for r in (_restrict(g, c, b, spec) for g in gens) if r]
+    every = range(spec.q**b)
+    for prefix in product(range(spec.q), repeat=gens[0].nvars - 1 - c - b):
+        hits = None
+        for r in restricted:
+            hits = line.roots(_coefficients(r, prefix, spec), hits)
+            if hits == []:
+                break
+        yield prefix, every if hits is None else hits
 
 
 def count_affine_zeros(f: SparsePolynomial) -> int:
     """Number of points of F_q^nvars where f vanishes.
 
-    Prime fields go through vectorized int64 arithmetic; every product of two
-    residues stays below p^2 < 2^40, so the computation is exact.
+    F_q^nvars is the stratum with no pivot of the block walker that also
+    lists projective points (``variety._points_idx``): the zeros are
+    summed over the prefixes of the first nvars - b coordinates, each
+    found among all q^b values of the block at once.
     """
     q = f.field.q
     n = f.nvars
-    total = q**n
-    if total > BUDGET:
+    if q**n > BUDGET:
         raise BudgetExceeded(f"affine scan of {q}^{n} points exceeds the 2^26 cap")
-    if f.is_zero:
-        return total
-    if f.field.k == 1:
-        # numpy serves only this branch; importing it lazily keeps it out of
-        # every command that never counts affine zeros
-        import numpy as np
-
-        p = f.field.p
-        weights = [q ** (n - 1 - j) for j in range(n)]
-        zeros = 0
-        for start in range(0, total, _NUMPY_CHUNK):
-            idxs = np.arange(start, min(start + _NUMPY_CHUNK, total), dtype=np.int64)
-            cols = [(idxs // w) % q for w in weights]
-            vals = np.zeros_like(idxs)
-            for cidx, exps in f.idx_terms:
-                term = np.full_like(idxs, cidx)
-                for col, e in zip(cols, exps):
-                    if e:
-                        term = term * _pow_mod_vec(col, e, p) % p
-                vals = (vals + term) % p
-            zeros += int(np.count_nonzero(vals == 0))
-        return zeros
-    from .space import iter_affine_idx
-
-    zeros = 0
-    for point in iter_affine_idx(q, n):
-        if eval_idx(f, point) == 0:
-            zeros += 1
-    return zeros
+    line = _Line(f.field, keep=n > 1)
+    b = min(line.width, n)
+    return sum(len(hits) for _, hits in _stratum_zeros([f], -1, b, line))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ fastest.  Subspaces of F_q^m stream as reduced row-echelon forms (RREF)
 stratified by their pivot columns, in itertools.combinations order; within
 one stratum the free entries, read row by row, follow the affine odometer.
 Projective points are the one-row case: canonical representatives (first
-nonzero coordinate scaled to 1), pivot 0 first, then pivot 1, and so on.
-Every order is resumable from an integer index.
+nonzero coordinate scaled to 1), pivot 0 first, then pivot 1, and so on;
+``projective_tuple_at`` gives the point at an index of that order.
 """
 from __future__ import annotations
 
@@ -93,25 +93,9 @@ def affine_tuple_at(q: int, n: int, index: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def iter_affine_idx(q: int, n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Odometer over F_q^n from ``start`` (inclusive) to ``stop`` (exclusive)."""
-    total = q**n
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) for {q}^{n} tuples")
-    if n == 0:
-        if start == 0 and stop == 1:
-            yield ()
-        return
-    digits = list(affine_tuple_at(q, n, start))
-    for _ in range(stop - start):
-        yield tuple(digits)
-        for j in range(n - 1, -1, -1):
-            digits[j] += 1
-            if digits[j] < q:
-                break
-            digits[j] = 0
+def iter_affine_idx(q: int, n: int) -> Iterator[tuple[int, ...]]:
+    """Odometer over F_q^n, the last coordinate moving fastest."""
+    return itertools.product(range(q), repeat=n)
 
 
 def projective_tuple_at(q: int, n: int, index: int) -> tuple[int, ...]:
@@ -124,18 +108,9 @@ def projective_tuple_at(q: int, n: int, index: int) -> tuple[int, ...]:
     raise ValueError("projective index out of range")
 
 
-def iter_rref_idx(
-    q: int, k: int, m: int, start: int = 0, stop: int | None = None
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Reduced row-echelon forms of the k-dimensional subspaces of F_q^m,
-    ``start`` (inclusive) to ``stop`` (exclusive), as tuples of k rows."""
-    total = count_grassmannian(q, k, m)
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) for {total} subspaces of F_{q}^{m}")
-    remaining = stop - start
-    index = start
+def iter_rref_idx(q: int, k: int, m: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Reduced row-echelon forms of the k-dimensional subspaces of F_q^m, as
+    tuples of k rows."""
     for pivots in itertools.combinations(range(m), k):
         # row i: zeros, its pivot's 1, then runs of free entries separated by
         # the 0 in each later pivot column; a run is (prefix, lo, hi) with
@@ -148,11 +123,7 @@ def iter_rref_idx(
                 width += nxt - prev - 1
                 prefix, prev = (0,), nxt
             runs.append(row)
-        size = q**width
-        if index >= size:
-            index -= size
-            continue
-        for free in iter_affine_idx(q, width, index, min(size, index + remaining)):
+        for free in iter_affine_idx(q, width):
             form = []
             for row in runs:
                 entries = ()
@@ -160,15 +131,11 @@ def iter_rref_idx(
                     entries += prefix + free[lo:hi]
                 form.append(entries)
             yield tuple(form)
-            remaining -= 1
-        if remaining == 0:
-            return
-        index = 0
 
 
-def iter_projective_idx(q: int, n: int, start: int = 0, stop: int | None = None) -> Iterator[tuple[int, ...]]:
+def iter_projective_idx(q: int, n: int) -> Iterator[tuple[int, ...]]:
     """Canonical representatives of P^n(F_q) in stratified odometer order."""
-    for (row,) in iter_rref_idx(q, 1, n + 1, start, stop):
+    for (row,) in iter_rref_idx(q, 1, n + 1):
         yield row
 
 

@@ -14,22 +14,24 @@ of formal partials, with full rank meaning smooth.
 
 Points are found a block at a time, never by evaluating a generator at each
 point.  P^n is listed stratum by stratum (the first nonzero coordinate X_c
-is 1), and within a stratum each prefix X_{c+1}..X_{n-1} is followed by all
-q values of t = X_n.  On a stratum a generator is a polynomial in the
-prefix and t; at each prefix it is a polynomial in t alone, whose
-coefficients cost one pass over the generator's terms and whose zeros come
-from rows of the powers t^j over all t at once.
+is 1), and within a stratum each prefix of the free coordinates is followed
+by all q^b values of the block, the last b coordinates; b is the widest
+with q^b <= 2^8, so b = 1 for q >= 17.  On a stratum a generator is a
+polynomial in the prefix and the block; at each prefix it is a polynomial
+in the block alone, whose coefficients cost one pass over the generator's
+terms and whose zeros come from rows of block monomials over all block
+values at once.  The same walker counts the zeros of a polynomial on
+F_q^m (``mpoly.count_affine_zeros``), the stratum with no pivot.
 """
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, islice, product, repeat
+from itertools import product
 from math import prod
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -53,6 +55,8 @@ from .mpoly import (
     ANY_DEGREE,
     NOT_HOMOGENEOUS,
     SparsePolynomial,
+    _Line,
+    _stratum_zeros,
     check_homogeneous,
     eval_idx,
     lift_to,
@@ -250,160 +254,18 @@ def extension_spec(v: VarietyDescriptor, ext: int) -> FieldSpec:
     return make_field(v.field.p, ext)
 
 
-def _zech_roots(rows: list[Iterable[int]], n: int, zech: Sequence[int], target: int) -> list[int]:
-    """The positions t = 1, 2, ... where the sum of g^s, over one s from
-    each row, is g^target."""
-    out = []
-    for t, logs in enumerate(zip(*rows), 1):
-        acc = -1  # the log of the sum so far; -1 while it is zero
-        for s in logs:
-            if acc < 0:
-                acc = s % n
-            else:
-                z = zech[(s - acc) % n]
-                acc = (acc + z) % n if z >= 0 else -1
-        if acc == target:
-            out.append(t)
-    return out
-
-
-class _Line:
-    """Polynomials in the last coordinate t, evaluated at every t in F_q.
-
-    A polynomial is a list of (j, c): the coefficient index c != 0 of t^j,
-    ascending in j.  The power rows depend only on the field and an
-    exponent.  With ``keep`` set, each row is kept as a list of q - 1 ints
-    and serves every later prefix; otherwise it is a one-pass iterator,
-    for an enumeration with one prefix per stratum (P^1, where q may reach
-    2^20).
-    """
-
-    def __init__(self, spec: FieldSpec, keep: bool):
-        self.spec = spec
-        self.keep = keep
-        self.rows: dict[int, list[int]] = {}
-
-    def row(self, j: int) -> Iterable[int]:
-        """t^j for t = 1, ..., q - 1: its index over a prime field, its
-        discrete log over an extension."""
-        row = self.rows.get(j)
-        if row is None:
-            spec = self.spec
-            if spec.k == 1:
-                row = map(pow, range(1, spec.q), repeat(j), repeat(spec.p))
-            else:
-                n, _, log, _ = spec.tables
-                row = map(n.__rmod__, map(j.__mul__, islice(log, 1, None)))
-            if self.keep:
-                row = self.rows[j] = list(row)
-        return row
-
-    def value(self, poly: list[tuple[int, int]], t: int) -> int:
-        """The index of poly(t)."""
-        spec = self.spec
-        if spec.k == 1:
-            return sum(c * pow(t, j, spec.p) for j, c in poly) % spec.p
-        log = spec.tables.log
-        return spec.sum_logs(log[c] + j * log[t] for j, c in poly)
-
-    def roots(self, poly: list[tuple[int, int]], ts: list[int] | None) -> list[int] | None:
-        """The t, ascending, among ``ts`` where ``poly`` vanishes; None
-        stands for every t in F_q, and the zero polynomial keeps ``ts``."""
-        if not poly:
-            return ts
-        if ts is not None:
-            return [t for t in ts if not self.value(poly, t)]
-        spec, q = self.spec, self.spec.q
-        # t^j0 divides poly: t = 0 is a root iff j0 > 0, and the t != 0 are
-        # the roots of poly / t^j0, whose constant term c0 is nonzero
-        (j0, c0), *rest = poly
-        out = [0] if j0 else []
-        if not rest:
-            return out
-        if len(rest) == 1:
-            # a binomial: t^(j1 - j0) = -c0 / c1
-            j1, c1 = rest[0]
-            a = spec.mul_idx(spec.neg_idx(c0), spec.inv_idx(c1))
-            key = a if spec.k == 1 else spec.tables.log[a]
-            hits = map(key.__eq__, self.row(j1 - j0))
-        elif spec.k == 1:
-            acc = repeat(c0)
-            for j, c in rest:
-                acc = map(operator.add, acc, map(c.__mul__, self.row(j - j0)))
-            hits = map(operator.not_, map(spec.p.__rmod__, acc))
-        elif spec.p == 2:
-            exp, log = spec.tables.exp, spec.tables.log
-            acc = repeat(c0)
-            for j, c in rest:
-                terms = map(exp.__getitem__, map(log[c].__add__, self.row(j - j0)))
-                acc = map(operator.xor, acc, terms)
-            hits = map(operator.not_, acc)
-        else:
-            # Zech sums in the log domain, one t at a time, against log(-c0)
-            n, _, log, zech = spec.tables
-            rows = [map(log[c].__add__, self.row(j - j0)) for j, c in rest]
-            return out + _zech_roots(rows, n, zech, (log[c0] + n // 2) % n)
-        return out + list(compress(range(1, q), hits))
-
-
-def _restrict(
-    g: SparsePolynomial, c: int, spec: FieldSpec
-) -> list[tuple[int, list[tuple[int, tuple[int, ...]]]]]:
-    """g on the stratum of pivot c, grouped by the exponent j of X_n.
-
-    Terms with a positive exponent in X_0..X_{c-1} drop out and X_c = 1.
-    Each group is (j, [(coefficient, exponents of X_{c+1}..X_{n-1})]),
-    ascending in j; a coefficient is its index over a prime field and its
-    discrete log over an extension.
-    """
-    n = g.nvars - 1
-    log = spec.tables.log if spec.k > 1 else None
-    groups: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    for cidx, exps in g.idx_terms:
-        if not any(exps[:c]):
-            coeff = cidx if log is None else log[cidx]
-            groups.setdefault(exps[n], []).append((coeff, exps[c + 1:n]))
-    return sorted(groups.items())
-
-
-def _coefficients(
-    restricted: list[tuple[int, list[tuple[int, tuple[int, ...]]]]],
-    prefix: tuple[int, ...],
-    spec: FieldSpec,
-) -> list[tuple[int, int]]:
-    """The nonzero coefficients (j, c_j) of a restricted generator at one
-    prefix X_{c+1}..X_{n-1}, in one pass over its terms."""
-    out = []
-    if spec.k == 1:
-        p = spec.p
-        pows = repeat(p)
-        for j, terms in restricted:
-            c = sum(a * prod(map(pow, prefix, exps, pows)) for a, exps in terms) % p
-            if c:
-                out.append((j, c))
-    else:
-        logs = [spec.tables.log[x] for x in prefix]
-        for j, terms in restricted:
-            c = spec.sum_logs(a + sum(map(operator.mul, exps, logs)) for a, exps in terms)
-            if c:
-                out.append((j, c))
-    return out
-
-
 @lru_cache(maxsize=128)
 def _points_idx(v: VarietyDescriptor, ext: int) -> tuple[tuple[int, ...], ...]:
     """Canonical representatives (packed indices) of V(F_{q^e}) in scan order.
 
     The order is that of ``iter_projective_idx``: pivot c first, then the
-    free coordinates with X_n fastest.  So a stratum is a run of prefixes
-    X_{c+1}..X_{n-1}, each followed by every t = X_n.  Each generator is
-    restricted once per stratum (``_restrict``), its coefficients in t are
-    computed once per prefix (``_coefficients``), and its zeros among all
-    t are found at once (``_Line.roots``) from rows of t^j: a binomial
-    compares one row with -c0 / c1, and a longer polynomial sums its rows
-    mod p, XORs them when p = 2 and adds them by Zech logarithms for odd
-    p.  A later generator is evaluated only at the t that the earlier ones
-    leave.  The last stratum is the single point (0:...:0:1).
+    free coordinates with X_n fastest.  So a stratum is a run of prefixes,
+    each followed by every value of the block, its last b coordinates,
+    where b is the widest with q^b <= 2^8 (b = 1 for q >= 17) and at most
+    n - c.  ``mpoly._stratum_zeros`` finds the zeros of all generators
+    among the q^b block values at once, at each prefix, from rows of block
+    monomials; when b = 1 a binomial compares one row of t^j with
+    -c0 / c1.  The last stratum is the single point (0:...:0:1).
     """
     spec = extension_spec(v, ext)
     n, q = v.ambient_dim, spec.q
@@ -417,16 +279,12 @@ def _points_idx(v: VarietyDescriptor, ext: int) -> tuple[tuple[int, ...], ...]:
     out = []
     for c in range(n):
         head = (0,) * c + (1,)
-        # a generator that vanishes on the whole stratum cuts nothing
-        restricted = [r for r in (_restrict(g, c, spec) for g in gens) if r]
-        for prefix in product(range(q), repeat=n - 1 - c):
-            ts = None
-            for r in restricted:
-                ts = line.roots(_coefficients(r, prefix, spec), ts)
-                if ts == []:
-                    break
-            base = head + prefix
-            out.extend([base + (t,) for t in (range(q) if ts is None else ts)])
+        b = min(line.width, n - c)
+        # the block values by position; zip makes the 1-tuples of one coordinate
+        block = None if b == 1 else list(product(range(q), repeat=b))
+        for prefix, hits in _stratum_zeros(gens, c, b, line):
+            values = zip(hits) if block is None else map(block.__getitem__, hits)
+            out.extend(map((head + prefix).__add__, values))
     last = (0,) * n + (1,)
     if all(eval_idx(g, last, spec) == 0 for g in gens):
         out.append(last)

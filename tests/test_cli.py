@@ -170,8 +170,8 @@ def test_closed_stdout_exits_141_silently():
 
 
 def test_import_leaves_numpy_and_multiprocessing_unloaded():
-    # only count_affine_zeros needs numpy and only a scan's worker pool needs
-    # multiprocessing; every other command skips importing them
+    # no module of the package uses numpy or multiprocessing, so importing
+    # the CLI must load neither
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = "import sys, cisect.cli; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"

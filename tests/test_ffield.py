@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import pickle
 import random
 
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 from cisect import FieldElement, make_field, parse_variety
 from cisect.errors import BudgetExceeded, FieldMismatch, NotIrreducible, NotPrime
-from cisect.ffield import ZERO_LOG, _poly_divmod, _poly_mul, _trim
+from cisect.ffield import (
+    ZERO_LOG,
+    _is_irreducible,
+    _poly_divmod,
+    _poly_mul,
+    _smallest_irreducible,
+    _trim,
+    is_prime,
+)
 from cisect.variety import extension_spec
 
 
@@ -42,6 +51,30 @@ def test_modulus_selection_is_smallest_lexicographic():
     assert make_field(2, 3).modulus == (1, 0, 1, 1)
     # x^2 + 1 = (x+2)(x+3) over F_5, so the search moves on to x^2 + x + 1
     assert make_field(5, 2).modulus == (1, 1, 1)
+
+
+def reference_smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """Every monic candidate of degree k, the constant term varying slowest,
+    zero constant terms included."""
+    for tail in itertools.product(range(p), repeat=k):
+        if _is_irreducible(tail + (1,), p):
+            return tail + (1,)
+    raise AssertionError(f"no irreducible polynomial of degree {k} over F_{p}")
+
+
+SMALL_EXTENSIONS = [
+    (p, k) for p in range(2, 32) if is_prime(p) for k in range(2, 11) if p**k <= 1 << 10
+]
+
+
+@pytest.mark.parametrize(
+    "p, k",
+    [(2, 20), (3, 12), (5, 8), (7, 7), (2, 16), (1021, 2), (13, 5)] + SMALL_EXTENSIONS,
+)
+def test_modulus_search_skips_zero_constant_terms(p, k):
+    # X divides every candidate with a zero constant term, so skipping them
+    # leaves the default modulus, and every element index, unchanged
+    assert _smallest_irreducible(p, k) == reference_smallest_irreducible(p, k)
 
 
 def test_explicit_modulus_accepted_and_checked():

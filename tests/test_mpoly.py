@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +41,8 @@ from cisect.mpoly import (
     NOT_MULTIHOMOGENEOUS,
     eval_idx,
 )
+
+from conftest import field_of
 
 F5 = make_field(5)
 F2 = make_field(2)
@@ -169,7 +176,7 @@ def test_count_affine_zeros_known_values():
 
 
 def test_count_affine_zeros_extension_field():
-    # X0^2 + g X1 over F_4 exercises the non-numpy path
+    # X0^2 + g X1 over F_4: rows of block monomials over an extension field
     f = parse_poly("1;0:2,0 + 0;1:0,1", 2, F4)
     naive = sum(
         1
@@ -184,6 +191,50 @@ def test_count_affine_zeros_budget():
     f = parse_poly("1:" + ",".join(["1"] + ["0"] * 11), 12, make_field(7))
     with pytest.raises(BudgetExceeded):
         count_affine_zeros(f)
+
+
+def test_count_affine_zeros_runs_without_numpy():
+    # a None entry in sys.modules makes every "import numpy" raise ImportError
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys; sys.modules['numpy'] = None\n"
+        "from cisect import count_affine_zeros, make_field, parse_poly\n"
+        "print(count_affine_zeros(parse_poly('1:1,0,1,0', 4, make_field(2))),"
+        " count_affine_zeros(parse_poly('1:2,0,0 + 4:0,1,1', 3, make_field(5))),"
+        " count_affine_zeros(parse_poly('1;0:2,0 + 0;1:0,1', 2, make_field(2, 2))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    # X0 X2 over F_2^4; X0^2 = X1 X2 over F_5^3 (x0 = 0: 9 points, else 4 x0 * 4); F_4 as above
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "12 25 4\n", "")
+
+
+@st.composite
+def small_affine_polynomials(draw):
+    """A random polynomial, the zero one included, in 1-6 variables over a
+    field of order at most 16, with q^n <= 4096: the block of the walker
+    spans all, some or one of the coordinates.  Exponents reach q + 1, so
+    x^q = x and 0^0 = 1 both matter."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16]))
+    f = field_of(q)
+    nvars = draw(st.integers(1, max(n for n in range(1, 7) if q**n <= 4096)))
+    terms = draw(st.lists(
+        st.tuples(st.integers(1, q - 1), st.tuples(*[st.integers(0, q + 1)] * nvars)),
+        max_size=8,
+    ))
+    return SparsePolynomial.from_terms(f, nvars, [(f.from_index(c), e) for c, e in terms])
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_affine_polynomials())
+def test_count_affine_zeros_matches_pointwise_walk(f):
+    q = f.field.q
+    naive = sum(
+        1 for x in itertools.product(range(q), repeat=f.nvars) if eval_idx(f, x) == 0
+    )
+    assert count_affine_zeros(f) == naive
 
 
 def test_lift_to_extension():

@@ -52,16 +52,6 @@ def test_enumeration_cardinalities():
             assert sum(1 for _ in enumerate_affine(spec, n)) == q**n
 
 
-def test_resumable_slicing():
-    full = list(iter_affine_idx(3, 3))
-    assert list(iter_affine_idx(3, 3, 7, 20)) == full[7:20]
-    assert list(iter_affine_idx(3, 3, 25, 25)) == []
-    fullp = list(iter_projective_idx(3, 2))
-    assert list(iter_projective_idx(3, 2, 4, 11)) == fullp[4:11]
-    assert list(iter_projective_idx(3, 2, 0, 1)) == fullp[:1]
-    assert len(fullp) == 13
-
-
 def test_canonical_representatives_are_unique():
     # every projective point over F_9 appears exactly once, leading entry 1
     seen = set()
@@ -132,14 +122,6 @@ def test_rref_forms_are_the_subspaces(q, k, m):
         if form is not None:
             reduced.add(form)
     assert reduced == set(forms)
-
-
-def test_rref_resumable_slicing():
-    full = list(iter_rref_idx(3, 2, 5))
-    for start, stop in [(0, len(full)), (7, 400), (399, 401), (len(full) - 1, len(full)), (5, 5)]:
-        assert list(iter_rref_idx(3, 2, 5, start, stop)) == full[start:stop]
-    with pytest.raises(ValueError):
-        list(iter_rref_idx(3, 2, 5, 0, len(full) + 1))
 
 
 def test_rref_of_canonical_rows_costs_no_inversion(monkeypatch):

@@ -44,6 +44,8 @@ from conftest import (
     field_of,
     make_conic,
     make_cone,
+    make_cone_p4,
+    make_cubic_surface,
     make_empty,
     make_fermat_cubic,
     make_quadric_pair_p4,
@@ -373,6 +375,29 @@ SHAPES = {
 def test_points_match_oracle_on_shapes(case):
     v, ext = SHAPES[case]
     assert _points_idx(v, ext) == oracle_points(v, ext)
+
+
+def make_hyperbolic_quadric_p5() -> VarietyDescriptor:
+    """X0 X1 + X2 X3 + X4 X5 in P^5 over F_2."""
+    f = field_of(2)
+    terms = [(1, tuple(int(j in (i, i + 1)) for j in range(6))) for i in (0, 2, 4)]
+    return VarietyDescriptor.build(f, 6, [poly(f, 6, terms)], dim=4, sing_dim=-1)
+
+
+# fields of order at most 16, where a block holds two or more coordinates
+BLOCK_SHAPES = {
+    "hyperbolic-p5-f2": make_hyperbolic_quadric_p5(),
+    "cone-p4-f4": make_cone_p4(4),
+    "cone-p4-f8": make_cone_p4(8),
+    "cubic-surface-f9": make_cubic_surface(9),
+    "cubic-surface-f16": make_cubic_surface(16),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_SHAPES)
+def test_points_match_oracle_on_block_shapes(case):
+    v = BLOCK_SHAPES[case]
+    assert _points_idx(v, 1) == oracle_points(v, 1)
 
 
 @st.composite
