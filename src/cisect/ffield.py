@@ -6,8 +6,10 @@ term.  Packing the coefficients as a base-p integer gives each element a
 stable index in [0, q); all hot loops work on these indices and only the
 public surface wraps them in FieldElement objects.
 
-Prime fields compute on the indices directly, as integers mod p.  An
-extension field computes through discrete-logarithm tables (Lidl and
+make_field decides a field's arithmetic once, by its class.  A prime field
+is a FieldSpec, which computes on the indices directly, as integers mod p.
+An extension field is a _LogField, a FieldSpec subclass that overrides every
+arithmetic method to compute through discrete-logarithm tables (Lidl and
 Niederreiter, Finite Fields, section 9.2) over g, the smallest index of
 multiplicative order q - 1:
 
@@ -21,9 +23,12 @@ operation that needs them, not by make_field, by repeated multiplication by g
 (a shift and XOR when p = 2, a sum of chunk-table lookups when p is odd).
 They are flat arrays of about 16 bytes per element (24 when p is odd) and
 take 1 to 2 s to build at q = 2^20.
-make_field returns one FieldSpec per (p, k, modulus), so each field builds
-its tables once per process; a pickled FieldSpec carries none and rebuilds
-them on demand.
+Each class also evaluates a polynomial's terms at a point (``eval_terms``),
+so the polynomial code calls one evaluator and never asks which field it
+is in.
+make_field returns one spec per (p, k, modulus), so each field builds its
+tables once per process; a pickled _LogField carries none and rebuilds them
+on demand.
 
 When no modulus is supplied the lexicographically smallest monic irreducible
 polynomial of degree k is selected (coefficients compared ascending from the
@@ -250,7 +255,9 @@ class FieldSpec:
 
     The ``*_idx`` methods operate on packed element indices (the coefficient
     tuple read as a base-p integer).  Index 0 is the zero element and index 1
-    is the multiplicative identity.
+    is the multiplicative identity.  This class computes in a prime field,
+    as integers mod p.  Build specs with make_field, which returns a
+    ``_LogField`` for k > 1.
     """
 
     p: int
@@ -267,8 +274,6 @@ class FieldSpec:
     # -- packed-index conversions ------------------------------------------
 
     def coeffs_of(self, idx: int) -> tuple[int, ...]:
-        if self.k == 1:
-            return (idx,)
         out = []
         for _ in range(self.k):
             idx, rem = divmod(idx, self.p)
@@ -281,14 +286,91 @@ class FieldSpec:
             acc = acc * self.p + c
         return acc
 
+    # -- arithmetic on packed indices --------------------------------------
+
+    def add_idx(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def sub_idx(self, a: int, b: int) -> int:
+        return (a - b) % self.p
+
+    def neg_idx(self, a: int) -> int:
+        return (-a) % self.p
+
+    def mul_idx(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def inv_idx(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero in a finite field")
+        return pow(a, self.p - 2, self.p)
+
+    def pow_idx(self, a: int, e: int) -> int:
+        """a^e; e must be nonnegative, and 0^0 = 1."""
+        if e < 0:
+            raise ValueError("negative exponent; invert first")
+        return pow(a, e, self.p)
+
+    def dot_idx(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """Dot product sum a_i * b_i of two index vectors of equal length."""
+        return sum(map(operator.mul, a, b)) % self.p
+
+    def eval_terms(self, terms: Iterable[tuple[int, Sequence[int]]], point: Sequence[int]) -> int:
+        """The sum of c * prod x_i^(e_i) at ``point`` over the (coefficient
+        index c, exponents e) pairs ``terms``."""
+        p = self.p
+        acc = 0
+        for c, exps in terms:
+            for x, e in zip(point, exps):
+                if e:
+                    c = c * pow(x, e, p) % p
+                    if c == 0:
+                        break
+            acc += c
+        return acc % p
+
+    # -- element construction ----------------------------------------------
+
+    def element(self, value: int | Sequence[int]) -> "FieldElement":
+        """Build an element: an int is the image of that integer (reduced mod p),
+        a sequence is a full coefficient vector (entries reduced mod p)."""
+        if isinstance(value, int):
+            coeffs = (value % self.p,) + (0,) * (self.k - 1)
+        else:
+            if len(value) != self.k:
+                raise ValueError(f"expected {self.k} coefficients, got {len(value)}")
+            coeffs = tuple(c % self.p for c in value)
+        return FieldElement(self, coeffs)
+
+    def from_index(self, idx: int) -> "FieldElement":
+        if not 0 <= idx < self.q:
+            raise ValueError(f"element index {idx} out of range for q={self.q}")
+        return FieldElement(self, self.coeffs_of(idx))
+
+    @property
+    def zero(self) -> "FieldElement":
+        return self.from_index(0)
+
+    @property
+    def one(self) -> "FieldElement":
+        return self.from_index(1)
+
+    def elements(self) -> Iterator["FieldElement"]:
+        for idx in range(self.q):
+            yield self.from_index(idx)
+
+
+class _LogField(FieldSpec):
+    """F_{p^k} with k > 1: arithmetic through discrete-log tables, built on
+    first use; see the module docstring."""
+
     def __getstate__(self) -> dict:
         # the log tables are rebuilt on demand; a pickle carries the field only
         return {"p": self.p, "k": self.k, "modulus": self.modulus}
 
     @cached_property
     def tables(self) -> LogTables:
-        """The discrete-log tables of an extension field (k > 1), built on
-        first use; see the module docstring."""
+        """The discrete-log tables; see the module docstring."""
         # loading array's extension module costs 128 KiB of RSS, so only a
         # process that builds tables pays it
         from array import array
@@ -330,8 +412,8 @@ class FieldSpec:
         return LogTables(n, exp, log, zech)
 
     def sum_logs(self, logs: Iterable[int]) -> int:
-        """Index of the sum of g^s over ``logs`` (k > 1); a negative s stands
-        for a zero term, and s may exceed q - 1."""
+        """Index of the sum of g^s over ``logs``; a negative s stands for a
+        zero term, and s may exceed q - 1."""
         n, exp, _, zech = self.tables
         if zech is None:  # p = 2: a sum is an XOR of indices
             acc = 0
@@ -349,35 +431,25 @@ class FieldSpec:
                     acc = (acc + z) % n if z >= 0 else -1
         return exp[acc] if acc >= 0 else 0
 
-    # -- arithmetic on packed indices --------------------------------------
-
     def add_idx(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
         if self.p == 2:
             return a ^ b
         log = self.tables.log
         return self.sum_logs((log[a], log[b]))
 
     def sub_idx(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a - b) % self.p
         if self.p == 2:
             return a ^ b
         n, _, log, _ = self.tables
         return self.sum_logs((log[a], log[b] + n // 2))
 
     def neg_idx(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
         if self.p == 2 or not a:
             return a
         n, exp, log, _ = self.tables
         return exp[log[a] + n // 2]
 
     def mul_idx(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return a * b % self.p
         if not (a and b):
             return 0
         _, exp, log, _ = self.tables
@@ -386,8 +458,6 @@ class FieldSpec:
     def inv_idx(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero in a finite field")
-        if self.k == 1:
-            return pow(a, self.p - 2, self.p)
         n, exp, log, _ = self.tables
         return exp[n - log[a]]
 
@@ -395,8 +465,6 @@ class FieldSpec:
         """a^e; e must be nonnegative, and 0^0 = 1."""
         if e < 0:
             raise ValueError("negative exponent; invert first")
-        if self.k == 1:
-            return pow(a, e, self.p)
         if not a:
             return 0 if e else 1
         n, exp, log, _ = self.tables
@@ -404,40 +472,16 @@ class FieldSpec:
 
     def dot_idx(self, a: Sequence[int], b: Sequence[int]) -> int:
         """Dot product sum a_i * b_i of two index vectors of equal length."""
-        if self.k == 1:
-            return sum(map(operator.mul, a, b)) % self.p
         log = self.tables.log
         return self.sum_logs(log[x] + log[y] for x, y in zip(a, b))
 
-    # -- element construction ----------------------------------------------
-
-    def element(self, value: int | Sequence[int]) -> "FieldElement":
-        """Build an element: an int is the image of that integer (reduced mod p),
-        a sequence is a full coefficient vector (entries reduced mod p)."""
-        if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-        else:
-            if len(value) != self.k:
-                raise ValueError(f"expected {self.k} coefficients, got {len(value)}")
-            coeffs = tuple(c % self.p for c in value)
-        return FieldElement(self, coeffs)
-
-    def from_index(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.q:
-            raise ValueError(f"element index {idx} out of range for q={self.q}")
-        return FieldElement(self, self.coeffs_of(idx))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return self.from_index(0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return self.from_index(1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for idx in range(self.q):
-            yield self.from_index(idx)
+    def eval_terms(self, terms: Iterable[tuple[int, Sequence[int]]], point: Sequence[int]) -> int:
+        """The sum of c * prod x_i^(e_i), as in FieldSpec.eval_terms, in the
+        log domain: a term's log is log c + sum e_i log x_i, negative when a
+        factor is zero, so each term costs one Zech addition."""
+        log = self.tables.log
+        logs = [log[x] for x in point]
+        return self.sum_logs(log[c] + sum(map(operator.mul, e, logs)) for c, e in terms)
 
 
 @dataclass(frozen=True)
@@ -538,5 +582,5 @@ def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Fiel
         # only irreducible moduli are memoised, so a hit needs no test
         if modulus is not None and k > 1 and not _is_irreducible(mod, p):
             raise NotIrreducible(f"modulus {mod} is reducible over F_{p}")
-        spec = _FIELDS[(p, k, mod)] = FieldSpec(p, k, mod)
+        spec = _FIELDS[(p, k, mod)] = (_LogField if k > 1 else FieldSpec)(p, k, mod)
     return spec

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, islice, product, repeat
-from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -259,21 +258,12 @@ def parse_poly(text: str, nvars: int, field: FieldSpec) -> SparsePolynomial:
     return SparsePolynomial.from_terms(field, nvars, pairs)
 
 
-def _format_coeff(coeff: FieldElement) -> str:
-    if coeff.field.k == 1:
-        return str(coeff.coeffs[0])
-    return ";".join(str(c) for c in coeff.coeffs)
-
-
 def format_poly(f: SparsePolynomial) -> str:
     """Canonical text form; inverse of parse_poly on canonical input."""
-    if f.is_zero:
-        zero_term = _format_coeff(f.field.zero) + ":" + ",".join("0" for _ in range(f.nvars))
-        return zero_term
-    chunks = []
-    for coeff, exps in f.terms:
-        chunks.append(_format_coeff(coeff) + ":" + ",".join(str(e) for e in exps))
-    return " + ".join(chunks)
+    terms = f.terms or ((f.field.zero, (0,) * f.nvars),)
+    return " + ".join(
+        ";".join(map(str, coeff.coeffs)) + ":" + ",".join(map(str, exps)) for coeff, exps in terms
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +272,7 @@ def format_poly(f: SparsePolynomial) -> str:
 
 def eval_idx(f: SparsePolynomial, point: Sequence[int], spec: FieldSpec | None = None) -> int:
     """Evaluate on packed indices; ``spec`` defaults to the polynomial's field."""
-    fld = spec if spec is not None else f.field
-    if fld.k == 1:
-        p = fld.p
-        acc = 0
-        for cidx, exps in f.idx_terms:
-            term = cidx
-            for x, e in zip(point, exps):
-                if e:
-                    term = term * pow(x, e, p) % p
-                    if term == 0:
-                        break
-            acc += term
-        return acc % p
-    # log domain: a term's log is log c + sum e_i log x_i, negative when a
-    # factor is zero, so each term costs one Zech addition
-    log = fld.tables.log
-    logs = [log[x] for x in point]
-    return fld.sum_logs(
-        log[cidx] + sum(map(operator.mul, exps, logs)) for cidx, exps in f.idx_terms
-    )
+    return (spec if spec is not None else f.field).eval_terms(f.idx_terms, point)
 
 
 def eval_poly(f: SparsePolynomial, point: Sequence[FieldElement]) -> FieldElement:
@@ -385,8 +356,8 @@ def check_multihomogeneous(f: SparsePolynomial, grouping: VariableGrouping):
 
 # a block of b coordinates has at most this many values: q^b <= 2^8
 _BLOCK_VALUES = 1 << 8
-# a polynomial on a stratum: (J, [(coefficient, prefix exponents)]) for each
-# exponent vector J of the block, ascending in J
+# a polynomial on a stratum: (J, [(coefficient index, prefix exponents)]) for
+# each exponent vector J of the block, ascending in J
 _Restricted = list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]
 
 
@@ -411,7 +382,7 @@ class _Line:
     """Polynomials in the block, the last b coordinates, evaluated at every
     value of the block at once.
 
-    A polynomial is a list of (J, c): the coefficient index c != 0 of the
+    A polynomial is a list of (c, J): the coefficient index c != 0 of the
     block monomial with exponents J, ascending in J.  A block value's
     position is its rank in odometer order (for one coordinate, its index t).
     ``width`` is the widest block with q^b <= 2^8, so blocks of two or more
@@ -473,15 +444,7 @@ class _Line:
             self.rows[exps] = row
         return row
 
-    def value(self, poly: list[tuple[tuple[int], int]], t: int) -> int:
-        """The index of poly(t), for one coordinate t."""
-        spec = self.spec
-        if spec.k == 1:
-            return sum(c * pow(t, j, spec.p) for (j,), c in poly) % spec.p
-        log = spec.tables.log
-        return spec.sum_logs(log[c] + j * log[t] for (j,), c in poly)
-
-    def roots(self, poly: list[tuple[tuple[int, ...], int]], ts: list[int] | None) -> list[int] | None:
+    def roots(self, poly: list[tuple[int, tuple[int, ...]]], ts: list[int] | None) -> list[int] | None:
         """The positions, ascending, among ``ts`` where ``poly`` vanishes;
         None stands for every block value, and the zero polynomial keeps
         ``ts``."""
@@ -489,86 +452,74 @@ class _Line:
             return ts
         if self.width > 1:
             acc = None
-            for exps, c in poly:
+            for c, exps in poly:
                 row = self.block_row(exps)
                 if ts is not None:
                     row = map(row.__getitem__, ts)
                 terms = row if c == 1 else map(self.times[c].__getitem__, row)
                 acc = terms if acc is None else self.plus(acc, terms)
-            every = range(self.spec.q ** len(poly[0][0]))
+            every = range(self.spec.q ** len(poly[0][1]))
             return list(compress(every if ts is None else ts, map(operator.not_, acc)))
-        if ts is not None:
-            return [t for t in ts if not self.value(poly, t)]
         spec, q = self.spec, self.spec.q
+        if ts is not None:
+            return [t for t in ts if not spec.eval_terms(poly, (t,))]
         # t^j0 divides poly: t = 0 is a root iff j0 > 0, and the t != 0 are
         # the roots of poly / t^j0, whose constant term c0 is nonzero
-        ((j0,), c0), *rest = poly
+        (c0, (j0,)), *rest = poly
         out = [0] if j0 else []
         if not rest:
             return out
         if len(rest) == 1:
             # a binomial: t^(j1 - j0) = -c0 / c1
-            (j1,), c1 = rest[0]
+            c1, (j1,) = rest[0]
             a = spec.mul_idx(spec.neg_idx(c0), spec.inv_idx(c1))
             key = a if spec.k == 1 else spec.tables.log[a]
             hits = map(key.__eq__, self.row(j1 - j0))
         elif spec.k == 1:
             acc = repeat(c0)
-            for (j,), c in rest:
+            for c, (j,) in rest:
                 acc = map(operator.add, acc, map(c.__mul__, self.row(j - j0)))
             hits = map(operator.not_, map(spec.p.__rmod__, acc))
         elif spec.p == 2:
             exp, log = spec.tables.exp, spec.tables.log
             acc = repeat(c0)
-            for (j,), c in rest:
+            for c, (j,) in rest:
                 terms = map(exp.__getitem__, map(log[c].__add__, self.row(j - j0)))
                 acc = map(operator.xor, acc, terms)
             hits = map(operator.not_, acc)
         else:
             # Zech sums in the log domain, one t at a time, against log(-c0)
             n, _, log, zech = spec.tables
-            rows = [map(log[c].__add__, self.row(j - j0)) for (j,), c in rest]
+            rows = [map(log[c].__add__, self.row(j - j0)) for c, (j,) in rest]
             return out + _zech_roots(rows, n, zech, (log[c0] + n // 2) % n)
         return out + list(compress(range(1, q), hits))
 
 
-def _restrict(g: SparsePolynomial, c: int, b: int, spec: FieldSpec) -> _Restricted:
+def _restrict(g: SparsePolynomial, c: int, b: int) -> _Restricted:
     """g on the stratum whose first nonzero coordinate is X_c = 1, with the
     block X_{m-b}..X_{m-1} and the prefix X_{c+1}..X_{m-b-1}, m = g.nvars;
     c = -1 is the stratum with no pivot, all of F_q^m.
 
-    Terms with a positive exponent in X_0..X_{c-1} drop out.  A coefficient
-    is its index over a prime field and its discrete log over an extension.
+    Terms with a positive exponent in X_0..X_{c-1} drop out.
     """
     cut = g.nvars - b
-    log = spec.tables.log if spec.k > 1 else None
     groups: dict = {}
     for cidx, exps in g.idx_terms:
         if not any(exps[:max(c, 0)]):
-            coeff = cidx if log is None else log[cidx]
-            groups.setdefault(exps[cut:], []).append((coeff, exps[c + 1:cut]))
+            groups.setdefault(exps[cut:], []).append((cidx, exps[c + 1:cut]))
     return sorted(groups.items())
 
 
 def _coefficients(
     restricted: _Restricted, prefix: tuple[int, ...], spec: FieldSpec
-) -> list[tuple[tuple[int, ...], int]]:
-    """The nonzero coefficients (J, c_J) of a restricted generator at one
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The nonzero coefficients (c_J, J) of a restricted generator at one
     prefix, in one pass over its terms."""
     out = []
-    if spec.k == 1:
-        p = spec.p
-        pows = repeat(p)
-        for exps, terms in restricted:
-            c = sum(a * prod(map(pow, prefix, e, pows)) for a, e in terms) % p
-            if c:
-                out.append((exps, c))
-    else:
-        logs = [spec.tables.log[x] for x in prefix]
-        for exps, terms in restricted:
-            c = spec.sum_logs(a + sum(map(operator.mul, e, logs)) for a, e in terms)
-            if c:
-                out.append((exps, c))
+    for exps, terms in restricted:
+        c = spec.eval_terms(terms, prefix)
+        if c:
+            out.append((c, exps))
     return out
 
 
@@ -586,7 +537,7 @@ def _stratum_zeros(
     is evaluated only at the positions that the earlier ones leave.
     """
     spec = line.spec
-    restricted = [r for r in (_restrict(g, c, b, spec) for g in gens) if r]
+    restricted = [r for r in (_restrict(g, c, b) for g in gens) if r]
     every = range(spec.q**b)
     for prefix in product(range(spec.q), repeat=gens[0].nvars - 1 - c - b):
         hits = None

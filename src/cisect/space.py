@@ -77,9 +77,7 @@ class ProjPoint:
         return self.coords[0].field
 
     def __str__(self) -> str:
-        if self.field.k == 1:
-            return "(" + ":".join(str(c.coeffs[0]) for c in self.coords) + ")"
-        return "(" + ":".join(";".join(str(d) for d in c.coeffs) for c in self.coords) + ")"
+        return "(" + ":".join(";".join(map(str, c.coeffs)) for c in self.coords) + ")"
 
 
 # ---------------------------------------------------------------------------

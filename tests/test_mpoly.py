@@ -283,8 +283,13 @@ def _eval_term_by_term(f, point, spec):
     return acc
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 5), (3, 5), (2, 16)])
+@pytest.mark.parametrize(
+    "p,k", [(2, 1), (5, 1), (31, 1), (1048573, 1), (2, 2), (3, 2), (2, 5), (3, 5), (2, 16)]
+)
 def test_log_domain_eval_matches_term_by_term(p, k):
+    """Both classes' eval_terms, through eval_idx, against one multiplication
+    and power per factor: prime fields as integers mod p, extensions in the
+    log domain."""
     spec = make_field(p, k)
     rng = random.Random(p * 100 + k)
     polys = [random_polynomial(spec, 3, degree, rng, max_terms=5) for degree in (1, 3, 40, 900)]

@@ -34,7 +34,6 @@ from cisect.errors import (
     ZeroGenerator,
 )
 from cisect import variety
-from cisect.ffield import FieldSpec
 from cisect.mpoly import eval_idx, lift_to
 from cisect.space import ProjPoint, count_projective, iter_projective_idx
 from cisect.variety import _points_idx, extension_spec
@@ -448,8 +447,9 @@ def test_points_work_once_per_prefix(monkeypatch, v, ext):
         return counted
 
     monkeypatch.setattr(variety, "eval_idx", counting("eval_idx", eval_idx))
+    arith = type(extension_spec(v, ext))
     for name in ("sum_logs", "add_idx", "sub_idx", "neg_idx", "mul_idx", "inv_idx", "pow_idx"):
-        monkeypatch.setattr(FieldSpec, name, counting("arith", getattr(FieldSpec, name)))
+        monkeypatch.setattr(arith, name, counting("arith", getattr(arith, name)))
     _points_idx.cache_clear()
     q, n, gens = v.field.q**ext, v.ambient_dim, v.codim
     # one prefix per point of P^{n-1}, and the last stratum's single point
