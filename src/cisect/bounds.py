@@ -13,9 +13,9 @@ check the geometry behind them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
+from ._record import record
 from .errors import BadSingularDim, InvalidInput, MissingBetti
 from .radicals import RootSum
 from .space import count_projective
@@ -90,7 +90,7 @@ def trivial_bounds(q: int, dim: int, degree: int) -> tuple[int, int]:
     return degree * count_projective(q, dim), degree * q ** max(dim, 0)
 
 
-@dataclass(frozen=True)
+@record
 class EstimateRow:
     name: str
     rhs: RootSum
@@ -98,7 +98,7 @@ class EstimateRow:
     condition: str
 
 
-@dataclass(frozen=True)
+@record
 class BoundReport:
     q: int
     ambient_dim: int
@@ -264,7 +264,7 @@ def estimate_suite(
     )
 
 
-@dataclass(frozen=True)
+@record
 class VerifyRow:
     name: str
     lhs: int
@@ -273,7 +273,7 @@ class VerifyRow:
     verdict: str  # PASS | FAIL | N-A
 
 
-@dataclass(frozen=True)
+@record
 class VerifyReport:
     q: int
     dim: int

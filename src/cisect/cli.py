@@ -6,6 +6,10 @@ on the terminal.  Exit codes: 0 when every applicable verdict passes, 1 when
 any fails, 2 on a CisectError or OSError (one diagnostic line on stderr), 141
 (128 + SIGPIPE), silently, when the reader of standard output goes away
 first.  Any other exception is a bug and propagates with its traceback.
+
+Each handler imports the modules it runs, so a process loads the code of its
+own subcommand and nothing else: ``count`` never compiles the scan or the
+estimate code, and ``eta`` never compiles the polynomial code.
 """
 from __future__ import annotations
 
@@ -13,13 +17,13 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .bounds import estimate_suite, verify_variety, zero_bound
 from .errors import CisectError, InvalidInput
-from .radicals import display_12, display_30
-from .sections import ScanReport, bertini_scan, hooley_condition_census, second_moment
-from .space import ProjPoint
-from .variety import VarietyDescriptor, count_points, extension_spec, load_variety
+
+if TYPE_CHECKING:
+    from .sections import ScanReport
+    from .variety import VarietyDescriptor
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +54,8 @@ def _emit(lines: list[str], output: Path | None) -> None:
 
 
 def _bounds_csv(report) -> list[str]:
+    from .radicals import display_12
+
     lines = ["estimate,rhs,applicable,condition"]
     for row in report.rows:
         lines.append(
@@ -59,6 +65,8 @@ def _bounds_csv(report) -> list[str]:
 
 
 def _verify_csv(report) -> list[str]:
+    from .radicals import display_12
+
     lines = ["estimate,lhs,rhs,applicable,verdict"]
     for row in report.rows:
         lines.append(
@@ -70,6 +78,9 @@ def _verify_csv(report) -> list[str]:
 
 
 def _scan_csv(report: ScanReport, v: VarietyDescriptor) -> list[str]:
+    from .space import ProjPoint
+    from .variety import extension_spec
+
     lines = ["kind,name,value"]
     summary = [
         ("mode", report.mode),
@@ -113,12 +124,17 @@ def _resolve_s(arg_s: int | None, v: VarietyDescriptor) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .variety import count_points, load_variety
+
     v = load_variety(args.variety)
     print(count_points(v, args.ext))
     return 0
 
 
 def _cmd_bounds(args) -> int:
+    from .bounds import estimate_suite
+    from .variety import load_variety
+
     v = load_variety(args.variety)
     report = estimate_suite(
         v.field.q,
@@ -133,6 +149,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .bounds import verify_variety
+    from .radicals import display_30
+    from .variety import load_variety
+
     v = load_variety(args.variety)
     report = verify_variety(v, args.betti)
     print(
@@ -146,6 +166,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_second_moment(args) -> int:
+    from .sections import second_moment
+    from .variety import load_variety
+
     v = load_variety(args.variety)
     result = second_moment(v, _resolve_s(args.s, v))
     word = "EQUAL" if result.equal else "UNEQUAL"
@@ -154,6 +177,9 @@ def _cmd_second_moment(args) -> int:
 
 
 def _cmd_hooley_census(args) -> int:
+    from .sections import hooley_condition_census
+    from .variety import load_variety
+
     v = load_variety(args.variety)
     census = hooley_condition_census(v, _resolve_s(args.s, v))
     word = "HALF-MASS" if census.half_mass else "NO-HALF-MASS"
@@ -162,6 +188,9 @@ def _cmd_hooley_census(args) -> int:
 
 
 def _cmd_bertini_scan(args) -> int:
+    from .sections import bertini_scan
+    from .variety import load_variety
+
     v = load_variety(args.variety)
     report = bertini_scan(v, max_ext=args.max_ext, mode=args.mode, workers=args.workers)
     _emit(_scan_csv(report, v), args.output)
@@ -178,6 +207,8 @@ def _cmd_bertini_scan(args) -> int:
 
 
 def _cmd_eta(args) -> int:
+    from .bounds import zero_bound
+
     print(zero_bound(args.q, args.d, args.n))
     return 0
 

@@ -39,10 +39,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
+from ._record import record
 from .errors import (
     BudgetExceeded,
     FieldMismatch,
@@ -249,7 +249,7 @@ class LogTables(NamedTuple):
     zech: array | None  # log(1 + g^d) for 0 <= d < n; None when p = 2
 
 
-@dataclass(frozen=True)
+@record
 class FieldSpec:
     """Immutable description of F_{p^k}; also the arithmetic context.
 
@@ -267,6 +267,11 @@ class FieldSpec:
     @property
     def q(self) -> int:
         return self.p**self.k
+
+    def __hash__(self) -> int:
+        # the record's hash, written out: the generic one goes through
+        # attrgetter, and a spec is hashed wherever a cache key holds one
+        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self) -> str:
         return f"FieldSpec(q={self.p}^{self.k})" if self.k > 1 else f"FieldSpec(q={self.p})"
@@ -484,12 +489,18 @@ class _LogField(FieldSpec):
         return self.sum_logs(log[c] + sum(map(operator.mul, e, logs)) for c, e in terms)
 
 
-@dataclass(frozen=True)
+@record
 class FieldElement:
     """A field element: an owning spec plus its coefficient tuple."""
 
     field: FieldSpec
     coeffs: tuple[int, ...]
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]) -> None:
+        # the record's __init__, written out: the generic one binds *args and
+        # **kwargs and loops over the names, about 1.6x the cost per element
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @cached_property
     def idx(self) -> int:

@@ -16,12 +16,11 @@ zero-coefficient term so that parse(format(f)) == f holds for every f.
 from __future__ import annotations
 
 import operator
-import random
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, islice, product, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._record import record
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -32,6 +31,9 @@ from .errors import (
 )
 from .ffield import FieldElement, FieldSpec
 from .space import BUDGET
+
+if TYPE_CHECKING:
+    import random
 
 MAX_TERM_DEGREE = 1 << 16
 
@@ -51,7 +53,7 @@ NOT_HOMOGENEOUS = _Verdict("NotHomogeneous")
 NOT_MULTIHOMOGENEOUS = _Verdict("NotMultihomogeneous")
 
 
-@dataclass(frozen=True)
+@record
 class VariableGrouping:
     """Partition of the variable list into consecutive blocks."""
 
@@ -74,7 +76,7 @@ class VariableGrouping:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class SparsePolynomial:
     """Canonical sparse polynomial; construct via ``from_terms`` or ``parse_poly``."""
 

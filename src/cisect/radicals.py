@@ -12,12 +12,16 @@ Decimal output is for display only and never feeds a verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from math import isqrt
+from typing import TYPE_CHECKING
+
+from ._record import record
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 
-@dataclass(frozen=True)
+@record
 class RootSum:
     """Value ``const + sum(a * sqrt(m) for a, m in roots)``; all entries >= 0
     except possibly ``const``, and every stored radicand is a non-square."""
@@ -68,6 +72,9 @@ class RootSum:
         return self.floor() >= x
 
     def to_decimal(self, prec: int = 40) -> Decimal:
+        # only display needs decimal, so a run that prints no radical skips it
+        from decimal import Decimal, localcontext
+
         with localcontext() as ctx:
             ctx.prec = prec
             total = Decimal(self.const)

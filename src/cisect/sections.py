@@ -49,12 +49,12 @@ this is the same sum reorganized term-by-term, not a closed form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from math import prod
 from typing import Iterator, Sequence
 
+from ._record import record
 from .bounds import bertini_degree, zero_bound
 from .errors import (
     ArityMismatch,
@@ -86,7 +86,7 @@ class SectionClass(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
+@record
 class SectionTuple:
     """s+1 covectors over the variety's base field."""
 
@@ -118,7 +118,7 @@ class SectionTuple:
         return tuple(tuple(c.idx for c in row) for row in self.covectors)
 
 
-@dataclass(frozen=True)
+@record
 class SectionVerdict:
     gamma: SectionTuple
     point_count: int
@@ -209,7 +209,7 @@ def section_smooth_check(
 # exhaustive scan: every tuple counted, each subspace classified once
 
 
-@dataclass(frozen=True)
+@record
 class ScanWitness:
     index: int
     gamma: tuple[tuple[int, ...], ...]
@@ -217,7 +217,7 @@ class ScanWitness:
     ext: int
 
 
-@dataclass(frozen=True)
+@record
 class ScanReport:
     q: int
     ambient_dim: int
@@ -487,7 +487,7 @@ def _check_moment_args(v: VarietyDescriptor, s: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@record
 class SecondMomentResult:
     s: int
     n_points: int
@@ -514,7 +514,7 @@ def second_moment(v: VarietyDescriptor, s: int) -> SecondMomentResult:
     return SecondMomentResult(s=s, n_points=n_points, computed=computed, closed_form=closed)
 
 
-@dataclass(frozen=True)
+@record
 class HooleyCensus:
     s: int
     n_points: int

@@ -11,9 +11,9 @@ nonzero coordinate scaled to 1), pivot 0 first, then pivot 1, and so on;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from ._record import record
 from .errors import ArityMismatch, BudgetExceeded, FieldMismatch
 from .ffield import FieldElement, FieldSpec
 
@@ -43,7 +43,7 @@ def count_affine(q: int, n: int) -> int:
     return q**n
 
 
-@dataclass(frozen=True)
+@record
 class ProjPoint:
     """Canonical projective point: the first nonzero coordinate equals 1."""
 

@@ -26,13 +26,13 @@ F_q^m (``mpoly.count_affine_zeros``), the stratum with no pivot.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from math import prod
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from ._record import record
 from .errors import (
     ArityMismatch,
     BadSingularDim,
@@ -70,7 +70,7 @@ from .space import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class VarietyDescriptor:
     field: FieldSpec
     nvars: int
@@ -359,7 +359,7 @@ def jacobian_rank_at(v: VarietyDescriptor, x: ProjPoint) -> int:
     return _jacobian_rank_idx(v, coords, ext)
 
 
-@dataclass(frozen=True)
+@record
 class PointClassification:
     point: ProjPoint
     jacobian_rank: int

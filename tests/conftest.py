@@ -1,16 +1,28 @@
-"""Shared corpus builders for the test suite.
+"""Shared corpus builders for the test suite, and a fresh-interpreter runner.
 
-Each helper returns a fresh descriptor; the corpus deliberately spans the
+Each builder returns a fresh descriptor; the corpus deliberately spans the
 interesting shapes: a singular surface (cone), a smooth surface, a smooth
 curve, a genus-0 curve, a zero-dimensional variety, and a pointless one.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from cisect import SparsePolynomial, VarietyDescriptor, make_field
 
 VARIETY_DIR = Path(__file__).resolve().parent.parent / "varieties"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the package from src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 def prime_power(q: int) -> tuple[int, int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from cisect import cli
 from cisect.cli import main
 
-from conftest import VARIETY_DIR
+from conftest import VARIETY_DIR, run_python
 
 
 def var(name: str) -> str:
@@ -178,6 +179,38 @@ def test_import_leaves_numpy_and_multiprocessing_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120,
     )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+def _loaded_by(argv: list[str], watch: list[str]) -> list[str]:
+    """The modules of ``watch`` that running the CLI on ``argv`` loads, in a
+    fresh process; modules the interpreter loaded at start-up do not count."""
+    proc = run_python(
+        "import json, sys; before = set(sys.modules); from cisect.cli import main; "
+        "code = main(sys.argv[2:]); sys.stdout.flush(); "
+        "loaded = set(sys.argv[1].split(',')) & (set(sys.modules) - before); "
+        "print(json.dumps([code, sorted(loaded)]))",
+        ",".join(watch), *argv,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    return loaded
+
+
+def test_count_loads_no_scan_estimate_or_display_code():
+    watch = ["cisect.sections", "cisect.bounds", "cisect.radicals", "dataclasses", "decimal",
+             "cisect.variety"]
+    assert _loaded_by(["count", var("cone2")], watch) == ["cisect.variety"]
+
+
+def test_eta_loads_no_polynomial_or_display_code():
+    watch = ["cisect.variety", "cisect.mpoly", "cisect.sections", "cisect.bounds", "decimal"]
+    assert _loaded_by(["eta", "--q", "5", "--d", "2", "--n", "2"], watch) == ["cisect.bounds"]
+
+
+def test_bare_package_import_loads_no_submodule():
+    proc = run_python("import sys, cisect; print(sorted(m for m in sys.modules if 'cisect.' in m))")
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
