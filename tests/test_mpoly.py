@@ -237,6 +237,34 @@ def test_count_affine_zeros_matches_pointwise_walk(f):
     assert count_affine_zeros(f) == naive
 
 
+@st.composite
+def one_coordinate_polynomials(draw):
+    """A random polynomial over a field of order 17 to 128, where the
+    walker's block is the last coordinate alone, with q^n <= 16384.  n = 1
+    uses each row of powers once; n > 1 keeps the rows.  Prime fields, odd
+    and even extensions all occur, and the term count runs from the zero
+    polynomial through monomials and binomials to five terms."""
+    q = draw(st.sampled_from([17, 19, 23, 25, 27, 31, 32, 49, 64, 81, 125, 128]))
+    f = field_of(q)
+    nvars = draw(st.integers(1, max(n for n in range(1, 5) if q**n <= 16384)))
+    size = draw(st.integers(0, 5))
+    terms = draw(st.lists(
+        st.tuples(st.integers(1, q - 1), st.tuples(*[st.integers(0, q + 1)] * nvars)),
+        min_size=size, max_size=size,
+    ))
+    return SparsePolynomial.from_terms(f, nvars, [(f.from_index(c), e) for c, e in terms])
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_coordinate_polynomials())
+def test_count_affine_zeros_matches_pointwise_walk_one_coordinate(f):
+    q = f.field.q
+    naive = sum(
+        1 for x in itertools.product(range(q), repeat=f.nvars) if eval_idx(f, x) == 0
+    )
+    assert count_affine_zeros(f) == naive
+
+
 def test_lift_to_extension():
     f = parse_poly("1:2,0 + 1:0,1", 2, F2)
     lifted = lift_to(f, F4)

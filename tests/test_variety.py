@@ -345,6 +345,18 @@ def make_binary_cubic(q: int) -> VarietyDescriptor:
     return VarietyDescriptor.build(f, 2, [gen], dim=0, sing_dim=-1)
 
 
+def make_quadric_cubic(q: int) -> VarietyDescriptor:
+    """X0 X3 - X1 X2 = X0^3 + X1^2 X3 + 2 X2 X3^2 + X3^3 = 0 in P^3: the
+    quadric leaves one t = X3 per prefix of the stratum X0 = 1, and the
+    cubic is evaluated at the positions that the quadric leaves."""
+    f = field_of(q)
+    gens = [
+        poly(f, 4, [(1, (1, 0, 0, 1)), (-1, (0, 1, 1, 0))]),
+        poly(f, 4, [(1, (3, 0, 0, 0)), (1, (0, 2, 0, 1)), (2, (0, 0, 1, 2)), (1, (0, 0, 0, 3))]),
+    ]
+    return VarietyDescriptor.build(f, 4, gens, dim=1, sing_dim=1)
+
+
 SHAPES = {
     "conic-f128": (make_conic(2), 7),  # p = 2, XOR rows
     "points17-f4913": (make_points17(), 3),  # odd p, n = 1
@@ -367,6 +379,10 @@ SHAPES = {
     "binary-cubic-f7": (make_binary_cubic(7), 1),
     "binary-cubic-f32": (make_binary_cubic(2), 5),
     "binary-cubic-f243": (make_binary_cubic(3), 5),
+    "quadric-cubic-f17": (make_quadric_cubic(17), 1),  # codimension 2: ts filters
+    "quadric-cubic-f25": (make_quadric_cubic(5), 2),
+    "quadric-cubic-f25-base": (make_quadric_cubic(25), 1),
+    "quadric-cubic-f32": (make_quadric_cubic(2), 5),
 }
 
 
