@@ -6,6 +6,7 @@ on the terminal.  Exit codes: 0 when every applicable verdict passes, 1 when
 any fails, 2 on a CisectError or OSError (one diagnostic line on stderr), 141
 (128 + SIGPIPE), silently, when the reader of standard output goes away
 first.  Any other exception is a bug and propagates with its traceback.
+A DimensionDriftWarning prints as one line, ``cisect: warning: ...``.
 
 Each handler imports the modules it runs, so a process loads the code of its
 own subcommand and nothing else: ``count`` never compiles the scan or the
@@ -16,10 +17,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import CisectError, InvalidInput
+from .errors import CisectError, DimensionDriftWarning, InvalidInput
 
 if TYPE_CHECKING:
     from .sections import ScanReport
@@ -192,7 +194,7 @@ def _cmd_bertini_scan(args) -> int:
     from .variety import load_variety
 
     v = load_variety(args.variety)
-    report = bertini_scan(v, max_ext=args.max_ext, mode=args.mode, workers=args.workers)
+    report = bertini_scan(v, max_ext=args.max_ext, mode=args.mode)
     _emit(_scan_csv(report, v), args.output)
     if args.output is not None:
         print(
@@ -286,10 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # a drift warning is about the input, so it names no file or line of cisect
+    if issubclass(category, DimensionDriftWarning):
+        print(f"cisect: warning: {message}", file=sys.stderr)
+    else:
+        sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code = args.func(args)
         # flush inside the try so a closed pipe is reported here, not at exit
         sys.stdout.flush()
         return code

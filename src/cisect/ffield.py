@@ -23,9 +23,11 @@ operation that needs them, not by make_field, by repeated multiplication by g
 (a shift and XOR when p = 2, a sum of chunk-table lookups when p is odd).
 They are flat arrays of about 16 bytes per element (24 when p is odd) and
 take 1 to 2 s to build at q = 2^20.
-Each class also evaluates a polynomial's terms at a point (``eval_terms``),
-so the polynomial code calls one evaluator and never asks which field it
-is in.
+Each class also evaluates a polynomial's terms at a point (``eval_terms``)
+and finds a one-coordinate polynomial's roots t != 0 from rows of t^j over
+all t (``power_row``, ``row_zeros``): indices summed mod p in a prime field,
+logs in an extension, whose terms add by XOR (p = 2) or by Zech logs, one t
+at a time.  So the polynomial code never asks which field it is in.
 make_field returns one spec per (p, k, modulus), so each field builds its
 tables once per process; a pickled _LogField carries none and rebuilds them
 on demand.
@@ -37,9 +39,9 @@ interchangeable.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import cache, cached_property
+from itertools import compress, islice, product, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from ._record import record
@@ -161,7 +163,7 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
     if k <= 3:
         return True
     for deg in range(2, k // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
+        for tail in product(range(p), repeat=deg):
             _, rem = _poly_divmod(coeffs, tail + (1,), p)
             if rem == [0]:
                 return False
@@ -174,7 +176,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # order with the constant term compared first; for k > 1 that term starts
     # at 1, since X divides every candidate without one
     lows = range(1 if k > 1 else 0, p)
-    for tail in itertools.product(lows, *[range(p)] * (k - 1)):
+    for tail in product(lows, *[range(p)] * (k - 1)):
         cand = tail + (1,)
         if _is_irreducible(cand, p):
             return cand
@@ -334,6 +336,22 @@ class FieldSpec:
             acc += c
         return acc % p
 
+    def power_row(self, j: int) -> Iterator[int]:
+        """t^j for t = 1, ..., q - 1, each stored as ``row_entry`` stores it."""
+        return map(pow, range(1, self.q), repeat(j), repeat(self.p))
+
+    def row_entry(self, a: int) -> int:
+        """How a row stores the nonzero element a: as its index."""
+        return a
+
+    def row_zeros(self, c0: int, terms: Iterable[tuple[int, Iterable[int]]]) -> list[int]:
+        """The t in 1, ..., q - 1, ascending, where c0 + sum c * r_t vanishes,
+        the sum over the pairs (c, r) of ``terms``, each r a ``power_row``."""
+        acc = repeat(c0)
+        for c, row in terms:
+            acc = map(operator.add, acc, map(c.__mul__, row))
+        return list(compress(range(1, self.q), map(operator.not_, map(self.p.__rmod__, acc))))
+
     # -- element construction ----------------------------------------------
 
     def element(self, value: int | Sequence[int]) -> "FieldElement":
@@ -487,6 +505,37 @@ class _LogField(FieldSpec):
         log = self.tables.log
         logs = [log[x] for x in point]
         return self.sum_logs(log[c] + sum(map(operator.mul, e, logs)) for c, e in terms)
+
+    def power_row(self, j: int) -> Iterator[int]:
+        """t^j for t = 1, ..., q - 1, as discrete logs."""
+        n, _, log, _ = self.tables
+        return map(n.__rmod__, map(j.__mul__, islice(log, 1, None)))
+
+    def row_entry(self, a: int) -> int:
+        """How a row stores the nonzero element a: as its discrete log."""
+        return self.tables.log[a]
+
+    def row_zeros(self, c0: int, terms: Iterable[tuple[int, Iterable[int]]]) -> list[int]:
+        """As FieldSpec.row_zeros; a term c * t^j is g^(log c + r_t)."""
+        n, exp, log, zech = self.tables
+        if zech is None:  # p = 2: the terms' indices add as an XOR
+            acc = repeat(c0)
+            for c, row in terms:
+                acc = map(operator.xor, acc, map(exp.__getitem__, map(log[c].__add__, row)))
+            return list(compress(range(1, self.q), map(operator.not_, acc)))
+        # sum_logs' Zech loop inline (a call per t costs 1.4x), against log(-c0)
+        target, out = (log[c0] + n // 2) % n, []
+        for t, logs in enumerate(zip(*[map(log[c].__add__, row) for c, row in terms]), 1):
+            acc = -1  # the log of the sum so far; -1 while it is zero
+            for s in logs:
+                if acc < 0:
+                    acc = s % n
+                else:
+                    z = zech[(s - acc) % n]
+                    acc = (acc + z) % n if z >= 0 else -1
+            if acc == target:
+                out.append(t)
+        return out
 
 
 @record

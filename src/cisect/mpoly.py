@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property, partial
-from itertools import compress, islice, product, repeat
+from itertools import compress, product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._record import record
@@ -363,23 +363,6 @@ _BLOCK_VALUES = 1 << 8
 _Restricted = list[tuple[tuple[int, ...], list[tuple[int, tuple[int, ...]]]]]
 
 
-def _zech_roots(rows: list[Iterable[int]], n: int, zech: Sequence[int], target: int) -> list[int]:
-    """The positions t = 1, 2, ... where the sum of g^s, over one s from
-    each row, is g^target."""
-    out = []
-    for t, logs in enumerate(zip(*rows), 1):
-        acc = -1  # the log of the sum so far; -1 while it is zero
-        for s in logs:
-            if acc < 0:
-                acc = s % n
-            else:
-                z = zech[(s - acc) % n]
-                acc = (acc + z) % n if z >= 0 else -1
-        if acc == target:
-            out.append(t)
-    return out
-
-
 class _Line:
     """Polynomials in the block, the last b coordinates, evaluated at every
     value of the block at once.
@@ -393,9 +376,9 @@ class _Line:
     For q <= 16 a row is a monomial's value at every block value, c times
     it is a lookup in the product table, and rows add as an XOR of indices
     when p = 2 and through the sum table for odd p.  For q >= 17 the block
-    is one coordinate t and a row holds t^j for t = 1, ..., q - 1: its
-    index over a prime field, its discrete log over an extension.  With
-    ``keep`` set, such a row is kept as a list of q - 1 ints and serves
+    is one coordinate t, a row holds t^j for t = 1, ..., q - 1 in the form
+    the field gives it, and the field finds the roots (``FieldSpec.row_zeros``).
+    With ``keep`` set, such a row is kept as a list of q - 1 ints and serves
     every later prefix; otherwise it is a one-pass iterator, for an
     enumeration with one prefix per stratum (P^1, where q may reach 2^20).
     """
@@ -419,16 +402,10 @@ class _Line:
                 )
 
     def row(self, j: int) -> Iterable[int]:
-        """t^j for t = 1, ..., q - 1: its index over a prime field, its
-        discrete log over an extension."""
+        """t^j for t = 1, ..., q - 1, as the field's rows store it."""
         row = self.rows.get(j)
         if row is None:
-            spec = self.spec
-            if spec.k == 1:
-                row = map(pow, range(1, spec.q), repeat(j), repeat(spec.p))
-            else:
-                n, _, log, _ = spec.tables
-                row = map(n.__rmod__, map(j.__mul__, islice(log, 1, None)))
+            row = self.spec.power_row(j)
             if self.keep:
                 row = self.rows[j] = list(row)
         return row
@@ -462,7 +439,7 @@ class _Line:
                 acc = terms if acc is None else self.plus(acc, terms)
             every = range(self.spec.q ** len(poly[0][1]))
             return list(compress(every if ts is None else ts, map(operator.not_, acc)))
-        spec, q = self.spec, self.spec.q
+        spec = self.spec
         if ts is not None:
             return [t for t in ts if not spec.eval_terms(poly, (t,))]
         # t^j0 divides poly: t = 0 is a root iff j0 > 0, and the t != 0 are
@@ -474,27 +451,9 @@ class _Line:
         if len(rest) == 1:
             # a binomial: t^(j1 - j0) = -c0 / c1
             c1, (j1,) = rest[0]
-            a = spec.mul_idx(spec.neg_idx(c0), spec.inv_idx(c1))
-            key = a if spec.k == 1 else spec.tables.log[a]
-            hits = map(key.__eq__, self.row(j1 - j0))
-        elif spec.k == 1:
-            acc = repeat(c0)
-            for c, (j,) in rest:
-                acc = map(operator.add, acc, map(c.__mul__, self.row(j - j0)))
-            hits = map(operator.not_, map(spec.p.__rmod__, acc))
-        elif spec.p == 2:
-            exp, log = spec.tables.exp, spec.tables.log
-            acc = repeat(c0)
-            for c, (j,) in rest:
-                terms = map(exp.__getitem__, map(log[c].__add__, self.row(j - j0)))
-                acc = map(operator.xor, acc, terms)
-            hits = map(operator.not_, acc)
-        else:
-            # Zech sums in the log domain, one t at a time, against log(-c0)
-            n, _, log, zech = spec.tables
-            rows = [map(log[c].__add__, self.row(j - j0)) for c, (j,) in rest]
-            return out + _zech_roots(rows, n, zech, (log[c0] + n // 2) % n)
-        return out + list(compress(range(1, q), hits))
+            key = spec.row_entry(spec.mul_idx(spec.neg_idx(c0), spec.inv_idx(c1)))
+            return out + list(compress(range(1, spec.q), map(key.__eq__, self.row(j1 - j0))))
+        return out + spec.row_zeros(c0, [(c, self.row(j - j0)) for c, (j,) in rest])
 
 
 def _restrict(g: SparsePolynomial, c: int, b: int) -> _Restricted:

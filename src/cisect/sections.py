@@ -74,10 +74,7 @@ from .space import (
     iter_projective_idx,
     iter_rref_idx,
 )
-from .variety import VarietyDescriptor, _jacobian_idx, _points_idx, extension_spec
-
-# scans start no worker pool; perfbench/tracer.py's scan note is the only reader
-_PARALLEL_THRESHOLD = 1 << 12
+from .variety import VarietyDescriptor, _points_idx, extension_spec
 
 
 class SectionClass(Enum):
@@ -184,11 +181,10 @@ def section_smooth_check(
         full = v.codim + s + 1
         for e in range(1, max_ext + 1):
             spec = extension_spec(v, e)
-            jac = _jacobian_idx(v, e)
             for x in _points_idx(v, e):
                 if any(spec.dot_idx(w, x) for w in form):
                     continue
-                stacked = [[eval_idx(d, x, spec) for d in row] for row in jac]
+                stacked = [[eval_idx(d, x, spec) for d in row] for row in v.jacobian]
                 if rank_idx([*stacked, *form], spec) < full:
                     kind, ext = SectionClass.RANK_FAIL, e
                     witness = ProjPoint(tuple(spec.from_index(i) for i in x))
@@ -317,11 +313,10 @@ def _mark_subspaces(v: VarietyDescriptor, max_ext: int):
     failing = {}
     for e in range(1, max_ext + 1):
         spec = extension_spec(v, e)
-        jac = _jacobian_idx(v, e)
         for x in _points_idx(v, e):
             if len(failing) == subspaces:
                 return 0, failing
-            form = echelon_idx([[eval_idx(d, x, spec) for d in row] for row in jac], spec)[0]
+            form = echelon_idx([[eval_idx(d, x, spec) for d in row] for row in v.jacobian], spec)[0]
             smooth = len(form) == v.codim
             digits = _digit_rows(x, e, spec)
             if s or not smooth:

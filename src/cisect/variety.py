@@ -59,7 +59,6 @@ from .mpoly import (
     _stratum_zeros,
     check_homogeneous,
     eval_idx,
-    lift_to,
     parse_poly,
     partial_derivative,
 )
@@ -273,7 +272,6 @@ def _points_idx(v: VarietyDescriptor, ext: int) -> tuple[tuple[int, ...], ...]:
         raise BudgetExceeded(
             f"enumerating P^{n} over a field of order {q} exceeds the 2^26 cap"
         )
-    gens = [lift_to(g, spec) for g in v.generators]
     # with n > 1 the budget keeps q below 2^13, and many prefixes share a row
     line = _Line(spec, keep=n > 1)
     out = []
@@ -282,19 +280,13 @@ def _points_idx(v: VarietyDescriptor, ext: int) -> tuple[tuple[int, ...], ...]:
         b = min(line.width, n - c)
         # the block values by position; zip makes the 1-tuples of one coordinate
         block = None if b == 1 else list(product(range(q), repeat=b))
-        for prefix, hits in _stratum_zeros(gens, c, b, line):
+        for prefix, hits in _stratum_zeros(v.generators, c, b, line):
             values = zip(hits) if block is None else map(block.__getitem__, hits)
             out.extend(map((head + prefix).__add__, values))
     last = (0,) * n + (1,)
-    if all(eval_idx(g, last, spec) == 0 for g in gens):
+    if all(eval_idx(g, last, spec) == 0 for g in v.generators):
         out.append(last)
     return tuple(out)
-
-
-@lru_cache(maxsize=128)
-def _jacobian_idx(v: VarietyDescriptor, ext: int) -> tuple[tuple[SparsePolynomial, ...], ...]:
-    spec = extension_spec(v, ext)
-    return tuple(tuple(lift_to(d, spec) for d in row) for row in v.jacobian)
 
 
 def count_points(v: VarietyDescriptor, ext: int = 1) -> int:
@@ -327,15 +319,9 @@ def rational_points(v: VarietyDescriptor, ext: int = 1) -> Iterator[ProjPoint]:
 # smoothness at rational points
 
 
-def _jacobian_rank_idx(
-    v: VarietyDescriptor, coords: Sequence[int], ext: int
-) -> int:
+def _jacobian_rank_idx(v: VarietyDescriptor, coords: Sequence[int], ext: int) -> int:
     spec = extension_spec(v, ext)
-    jac = _jacobian_idx(v, ext)
-    rows = [
-        [eval_idx(d, coords, spec) for d in row]
-        for row in jac
-    ]
+    rows = [[eval_idx(d, coords, spec) for d in row] for row in v.jacobian]
     return rank_idx(rows, spec)
 
 
@@ -353,8 +339,7 @@ def jacobian_rank_at(v: VarietyDescriptor, x: ProjPoint) -> int:
     else:
         raise FieldMismatch("point field does not match the variety")
     coords = tuple(c.idx for c in x.coords)
-    gens = [lift_to(g, spec) for g in v.generators]
-    if any(eval_idx(g, coords, spec) != 0 for g in gens):
+    if any(eval_idx(g, coords, spec) != 0 for g in v.generators):
         raise PointNotOnVariety(f"{x} is not on the variety")
     return _jacobian_rank_idx(v, coords, ext)
 

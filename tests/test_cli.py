@@ -35,6 +35,20 @@ def test_count_extension(capsys):
     assert out == "651\n"  # 1 + (25+1)*25
 
 
+DRIFT = (
+    "cisect: warning: count 0 over order-2 field is far from the expectation 1"
+    " for asserted dimension 0\n"
+)
+
+
+@pytest.mark.filterwarnings("always::cisect.errors.DimensionDriftWarning")
+def test_drift_warning_prints_one_line(capsys):
+    code, out, err = run(capsys, "count", var("empty2"))
+    assert (code, out, err) == (0, "0\n", DRIFT)
+    code, out, err = run(capsys, "verify", var("empty2"), "--betti", "0")
+    assert (code, out.splitlines()[0], err) == (1, "N=0 p_r=1 deviation=1", DRIFT)
+
+
 def test_eta(capsys):
     code, out, _ = run(capsys, "eta", "--q", "2", "--d", "1,1", "--n", "1,1")
     assert (code, out) == (0, "12\n")

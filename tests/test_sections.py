@@ -34,7 +34,7 @@ from cisect.linalg import rank_idx, rref_idx
 from cisect.mpoly import eval_idx
 from cisect.sections import _incidence_mask, _mask_counts
 from cisect.space import count_grassmannian, iter_rref_idx
-from cisect.variety import _jacobian_idx, _points_idx, extension_spec
+from cisect.variety import _points_idx, extension_spec
 
 from conftest import (
     VARIETY_DIR,
@@ -324,7 +324,7 @@ def scan_data(v, max_ext):
     for e in range(1, max_ext + 1):
         spec = extension_spec(v, e)
         pts = _points_idx(v, e)
-        jac = _jacobian_idx(v, e)
+        jac = v.jacobian
         evaluated = [[[eval_idx(d, x, spec) for d in row] for row in jac] for x in pts]
         out.append((e, spec, pts, evaluated, {}))
     return out
