@@ -31,20 +31,23 @@ among the failing subspaces and stops at the tenth hit, without classifying
 anything.  The scan runs in one process, so reports do not depend on the
 worker count.
 
-Section counts and the census rest on one predicate: does the covector w
-vanish at the point x?  A covector's incidence mask over a point list has
-bit i set iff w annihilates the i-th point, and the points of a section are
-the AND of its rows' masks.  Scaling w by a nonzero constant leaves its mask
-unchanged, so masks are built once per projective covector class and shared
-by section counts and the census.
+Section counts rest on one predicate: does the covector w vanish at the
+point x?  A covector's incidence mask over a point list has bit i set iff w
+annihilates the i-th point, and the points of a section are the AND of its
+rows' masks.
 
 Second-moment and census sums run over ALL affine covector tuples, including
 linearly dependent ones, and count section points projectively; that reading
 makes the moment identity exact, which is the cross-check the acceptance
-suite pins.  Instead of re-walking the tuple space, both sums take the mask
-distribution over all q^{n+1} covectors (each projective class weighted
-q - 1, plus the zero covector with the full mask) and fold it s+1 times;
-this is the same sum reorganized term-by-term, not a closed form.
+suite pins.  Both read one histogram of N(gamma) over the q^{(n+1)(s+1)}
+tuples.  N(gamma) depends only on the subspace U the rows span, and a
+j-dimensional U is spanned by prod_{i<j} (q^{s+1} - q^i) tuples, so the
+histogram is a sum over j <= s+1 and the reduced forms of U of that weight
+at the popcount of the AND of the rows' masks; j = 0 is the zero tuple,
+with every point.  The masks of all canonical covectors come from one
+depth-first walk over their coordinates on bit-sliced points, with no
+per-point dot product; at s = 0 the walk's leaves give N(w) and no mask
+table is kept.
 """
 from __future__ import annotations
 
@@ -440,37 +443,90 @@ def bertini_scan(
 
 
 # ---------------------------------------------------------------------------
-# moment identity and census via mask folding
+# moment identity and census: a histogram of N(gamma) summed over subspaces
 
 
-@lru_cache(maxsize=64)
-def _mask_counts(v: VarietyDescriptor) -> tuple[tuple[int, int], ...]:
-    """Distribution of incidence masks over every covector w of F_q^{n+1}:
-    one mask per projective class, weighted by its q - 1 nonzero multiples,
-    plus the zero covector, which annihilates every point."""
+def _hyperplane_masks(v: VarietyDescriptor) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(w, mask of the points on w . x = 0) for each canonical covector w, in
+    iter_projective_idx order.
+
+    The points are bit-sliced: slices[k] maps a to the mask of the points
+    whose k-th coordinate is a.  The walk fixes w's coordinates one at a
+    time and keeps {partial value sum_{i<k} w_i x_i: mask of the points with
+    it}; the step with coefficient c sends the points of value u and k-th
+    coordinate a to u + c a.  At the last coordinate only the points of
+    value 0 are kept: those of value -c a and last coordinate a."""
     pts = _points_idx(v, 1)
     spec = v.field
-    counts = {(1 << len(pts)) - 1: 1}
-    for w in iter_projective_idx(spec.q, v.ambient_dim):
-        m = _incidence_mask(w, pts, spec)
-        counts[m] = counts.get(m, 0) + spec.q - 1
-    return tuple(sorted(counts.items()))
+    q, last = spec.q, v.ambient_dim
+    slices = [{} for _ in range(last + 1)]
+    for i, x in enumerate(pts):
+        for k, a in enumerate(x):
+            slices[k][a] = slices[k].get(a, 0) | 1 << i
+
+    def table(op):
+        """Rows of the q x q table of op, each built on first use, so that a
+        walk over few points builds few rows."""
+        return lru_cache(maxsize=None)(lambda a: [op(a, b) for b in range(q)])
+
+    add, mul = table(spec.add_idx), table(spec.mul_idx)
+    # row[c] = -c a for the last coordinate's values a
+    tail = [(mul(spec.neg_idx(a)), m) for a, m in slices[last].items()]
+    field = range(q)
+
+    def walk(prefix, parts, k, coeffs):
+        if k == last:
+            for c in coeffs:
+                mask = 0
+                for row, m in tail:
+                    hit = parts.get(row[c])
+                    if hit:
+                        mask |= hit & m
+                yield (*prefix, c), mask
+            return
+        hits = [
+            (add(u), mul(a), hit)
+            for u, part in parts.items()
+            for a, m in slices[k].items()
+            if (hit := part & m)
+        ]
+        for c in coeffs:
+            nxt: dict[int, int] = {}
+            for shift, scale, hit in hits:
+                u = shift[scale[c]]
+                nxt[u] = nxt.get(u, 0) | hit
+            yield from walk((*prefix, c), nxt, k + 1, field)
+
+    # a canonical covector is zeros, a leading 1, then any coefficients
+    for pivot in range(last + 1):
+        yield from walk((0,) * pivot, {0: (1 << len(pts)) - 1}, pivot, (1,))
 
 
 @lru_cache(maxsize=64)
-def _folded_masks(v: VarietyDescriptor, s: int) -> tuple[tuple[int, int], ...]:
-    """Distribution of intersection masks over all (s+1)-tuples of covectors."""
-    counts = _mask_counts(v)
-    n_points = len(_points_idx(v, 1))
-    acc = {(1 << n_points) - 1: 1}
-    for _ in range(s + 1):
-        nxt: dict[int, int] = {}
-        for m1, c1 in acc.items():
-            for m2, c2 in counts:
-                key = m1 & m2
-                nxt[key] = nxt.get(key, 0) + c1 * c2
-        acc = nxt
-    return tuple(sorted(acc.items()))
+def _section_histogram(v: VarietyDescriptor, s: int) -> tuple[tuple[int, int], ...]:
+    """(N, number of affine (s+1)-tuples gamma with N(gamma) = N), summed
+    over the subspaces U the tuples span: a j-dimensional U is spanned by
+    prod_{i<j} (q^{s+1} - q^i) tuples, and N(U) is the popcount of the AND of
+    the masks of its reduced rows."""
+    q = v.field.q
+    qs = q ** (s + 1)
+    hist = {len(_points_idx(v, 1)): 1}  # the zero tuple
+    lines = _hyperplane_masks(v)
+    if s:  # subspaces of dimension 2 and up AND the masks of their rows
+        masks = dict(lines)
+        lines = masks.items()
+    for _, mask in lines:
+        n = mask.bit_count()
+        hist[n] = hist.get(n, 0) + qs - 1
+    for j in range(2, s + 2):
+        weight = prod(qs - q**i for i in range(j))
+        for form in iter_rref_idx(q, j, v.nvars):
+            mask = masks[form[0]]
+            for row in form[1:]:
+                mask &= masks[row]
+            n = mask.bit_count()
+            hist[n] = hist.get(n, 0) + weight
+    return tuple(sorted(hist.items()))
 
 
 def _check_moment_args(v: VarietyDescriptor, s: int) -> int:
@@ -502,8 +558,8 @@ def second_moment(v: VarietyDescriptor, s: int) -> SecondMomentResult:
     n_points = len(_points_idx(v, 1))
     qs = q ** (s + 1)
     computed = 0
-    for mask, count in _folded_masks(v, s):
-        dev = n_points - qs * mask.bit_count()
+    for n_gamma, count in _section_histogram(v, s):
+        dev = n_points - qs * n_gamma
         computed += count * dev * dev
     closed = n_points * total * (qs - 1)
     return SecondMomentResult(s=s, n_points=n_points, computed=computed, closed_form=closed)
@@ -530,8 +586,8 @@ def hooley_condition_census(v: VarietyDescriptor, s: int) -> HooleyCensus:
     qs = q ** (s + 1)
     threshold = 2 * n_points * (qs - 1)
     satisfying = 0
-    for mask, count in _folded_masks(v, s):
-        dev = n_points - qs * mask.bit_count()
+    for n_gamma, count in _section_histogram(v, s):
+        dev = n_points - qs * n_gamma
         if dev * dev <= threshold:
             satisfying += count
     return HooleyCensus(s=s, n_points=n_points, satisfying=satisfying, total=total)

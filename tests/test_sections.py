@@ -4,6 +4,8 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import lru_cache
 from math import prod
 from pathlib import Path
 
@@ -32,8 +34,14 @@ from cisect import sections
 from cisect.errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch
 from cisect.linalg import rank_idx, rref_idx
 from cisect.mpoly import eval_idx
-from cisect.sections import _incidence_mask, _mask_counts
-from cisect.space import count_grassmannian, iter_rref_idx
+from cisect.sections import _incidence_mask
+from cisect.space import (
+    BUDGET,
+    count_grassmannian,
+    count_projective,
+    iter_projective_idx,
+    iter_rref_idx,
+)
 from cisect.variety import _points_idx, extension_spec
 
 from conftest import (
@@ -308,6 +316,44 @@ def annihilates(w, x):
     return acc.is_zero
 
 
+@lru_cache(maxsize=64)
+def _mask_counts(v: VarietyDescriptor) -> tuple[tuple[int, int], ...]:
+    """Distribution of incidence masks over every covector w of F_q^{n+1}:
+    one mask per projective class, weighted by its q - 1 nonzero multiples,
+    plus the zero covector, which annihilates every point."""
+    pts = _points_idx(v, 1)
+    spec = v.field
+    counts = {(1 << len(pts)) - 1: 1}
+    for w in iter_projective_idx(spec.q, v.ambient_dim):
+        m = _incidence_mask(w, pts, spec)
+        counts[m] = counts.get(m, 0) + spec.q - 1
+    return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=64)
+def _folded_masks(v: VarietyDescriptor, s: int) -> tuple[tuple[int, int], ...]:
+    """Distribution of intersection masks over all (s+1)-tuples of covectors."""
+    counts = _mask_counts(v)
+    n_points = len(_points_idx(v, 1))
+    acc = {(1 << n_points) - 1: 1}
+    for _ in range(s + 1):
+        nxt: dict[int, int] = {}
+        for m1, c1 in acc.items():
+            for m2, c2 in counts:
+                key = m1 & m2
+                nxt[key] = nxt.get(key, 0) + c1 * c2
+        acc = nxt
+    return tuple(sorted(acc.items()))
+
+
+def folded_histogram(v, s):
+    """The fold oracle's distribution of section counts N(gamma)."""
+    hist = {}
+    for mask, count in _folded_masks(v, s):
+        hist[mask.bit_count()] = hist.get(mask.bit_count(), 0) + count
+    return tuple(sorted(hist.items()))
+
+
 def scan_covectors(v, mode):
     """The covectors a scan's tuples draw from, in scan order."""
     covectors = list(itertools.product(range(v.field.q), repeat=v.nvars))
@@ -458,14 +504,18 @@ def test_section_count_matches_oracle_over_f4():
         assert section_count(v, gamma_of(v, w)) == expected, w
 
 
-def test_mask_counts_match_all_covectors_over_f4():
-    v = make_cone(4)
+@pytest.mark.parametrize("q", [4, 5])
+def test_walked_masks_match_all_covectors(q):
+    """Every hyperplane's mask from the bit-sliced walk, against the
+    FieldElement dot product.  The histogram cannot see a mask filed under
+    the wrong covector, since negating the last coordinate permutes the
+    covectors linearly, so odd characteristic is checked here."""
+    v = make_cone(q)
     points = list(rational_points(v))
-    counts = {}
-    for w in itertools.product(range(4), repeat=v.nvars):
-        mask = sum(1 << i for i, x in enumerate(points) if annihilates(w, x))
-        counts[mask] = counts.get(mask, 0) + 1
-    assert _mask_counts(v) == tuple(sorted(counts.items()))
+    walked = list(sections._hyperplane_masks(v))
+    assert [w for w, _ in walked] == list(iter_projective_idx(q, v.ambient_dim))
+    for w, mask in walked:
+        assert mask == sum(1 << i for i, x in enumerate(points) if annihilates(w, x)), w
 
 
 def report_tuple(rep):
@@ -686,3 +736,74 @@ def test_moment_and_census_over_f4():
     naive_moment, naive_sat = naive_tuple_stats(v, 0)
     assert res.computed == naive_moment
     assert hooley_condition_census(v, 0).satisfying == naive_sat
+
+
+@st.composite
+def moment_cases(draw, q):
+    """A complete intersection of one or two random forms in P^1..P^3 over
+    F_q, and an s in 0..2 under the moment cap with s (|P^n| + 1)^2 <=
+    2 * 10^5, which keeps each fold of the oracle well under a second."""
+    f = field_of(q)
+    nvars = draw(st.integers(2, 4))
+    gens = []
+    for _ in range(draw(st.integers(1, min(2, nvars - 1)))):
+        degree = draw(st.integers(1, 3))
+        monomials = [
+            e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree
+        ]
+        terms = draw(st.lists(
+            st.tuples(st.integers(1, q - 1), st.sampled_from(monomials)), min_size=1, max_size=6,
+        ))
+        gen = SparsePolynomial.from_terms(f, nvars, [(f.from_index(c), e) for c, e in terms])
+        assume(not gen.is_zero)
+        gens.append(gen)
+    dim = nvars - 1 - len(gens)
+    hyperplanes = count_projective(q, nvars - 1)
+    s = draw(st.sampled_from([
+        s for s in range(3)
+        if q ** (nvars * (s + 1)) <= BUDGET and s * (hyperplanes + 1) ** 2 <= 200_000
+    ]))
+    return VarietyDescriptor.build(f, nvars, gens, dim=dim, sing_dim=dim), s
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_histogram_matches_fold_oracle(q, data):
+    v, s = data.draw(moment_cases(q))
+    hist = sections._section_histogram(v, s)
+    assert hist == folded_histogram(v, s)
+    assert sum(count for _, count in hist) == q ** (v.nvars * (s + 1))
+
+
+@pytest.mark.parametrize("v, s", [
+    (make_cone(13), 0),
+    (make_cubic_surface(3), 1),
+    (make_quadric_pair_p4(3), 1),
+    (make_cone_p4(3), 2),
+    (make_cone_p4(4), 1),
+], ids=["cone13-s0", "cubic_surface3-s1", "quadric_pair3-s1", "cone_p4_3-s2", "cone_p4_4-s1"])
+def test_histogram_matches_fold_oracle_on_named_cases(v, s):
+    assert sections._section_histogram(v, s) == folded_histogram(v, s)
+
+
+def test_hyperplane_histogram_keeps_no_mask_table():
+    """At s = 0 the walk's leaves give N(w) directly and no per-covector mask
+    table is kept.  On the P^4 cone over F_7 the masks alone of such a table
+    take |P^4| * |V| / 8 = 2 801 * 400 / 8 = 140 050 bytes; the histogram
+    peaks below half of that, and the table above it."""
+    v = make_cone_p4(7)
+    n_points = len(_points_idx(v, 1))  # cached before tracing starts
+    bound = count_projective(7, 4) * n_points // 16
+    sections._section_histogram.cache_clear()
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: sections._section_histogram(v, 0)) < bound
+    assert peak(lambda: dict(sections._hyperplane_masks(v))) > bound
