@@ -23,33 +23,27 @@ _PUBLIC = {
         "verify_variety",
         "zero_bound",
     ),
+    "census": ("HooleyCensus", "SecondMomentResult", "hooley_condition_census", "second_moment"),
     "ffield": ("FieldElement", "FieldSpec", "make_field"),
-    "mpoly": (
-        "SparsePolynomial",
+    "mpoly": ("SparsePolynomial", "check_homogeneous", "parse_poly", "partial_derivative"),
+    "polytools": (
         "VariableGrouping",
-        "check_homogeneous",
         "check_multihomogeneous",
         "count_affine_zeros",
         "eval_poly",
         "format_poly",
         "lift_to",
-        "parse_poly",
-        "partial_derivative",
         "random_multihomogeneous",
         "random_polynomial",
     ),
     "radicals": ("RootSum",),
     "sections": (
-        "HooleyCensus",
         "ScanReport",
         "ScanWitness",
-        "SecondMomentResult",
         "SectionClass",
         "SectionTuple",
         "SectionVerdict",
         "bertini_scan",
-        "hooley_condition_census",
-        "second_moment",
         "section_count",
         "section_smooth_check",
     ),
@@ -76,16 +70,24 @@ _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 __all__ = sorted(_HOME)
 
 
-def __getattr__(name: str):
-    # only called for names not yet in globals(); an unknown name raises
-    # AttributeError, which lets ``from cisect import bounds`` import the module
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
+def _lazy(namespace: dict, homes):
+    """A module ``__getattr__`` (PEP 562) that binds a public name whose home
+    is in ``homes`` in ``namespace``, importing its home on first access; any
+    other name raises AttributeError, so ``from cisect import bounds`` works."""
 
-    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
-    return value
+    def __getattr__(name: str):
+        module = _HOME.get(name)
+        if module not in homes:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        value = namespace[name] = getattr(import_module(f".{module}", __name__), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _PUBLIC)
 
 
 def __dir__() -> list[str]:

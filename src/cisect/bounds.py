@@ -9,16 +9,19 @@ PASS/FAIL verdicts never touch floating point.
 
 The estimate rows are conditional on the asserted dimension and singular
 dimension of the input; the suite validates the assertion ranges but cannot
-check the geometry behind them.
+check the geometry behind them.  Only the functions that need radicals or
+space load them, so ``eta`` and the scan run on the formulas alone.
 """
 from __future__ import annotations
 
 from math import prod
+from typing import TYPE_CHECKING
 
 from ._record import record
 from .errors import BadSingularDim, InvalidInput, MissingBetti
-from .radicals import RootSum
-from .space import count_projective
+
+if TYPE_CHECKING:
+    from .radicals import RootSum
 
 
 def zero_bound(q: int, degrees, dims) -> int:
@@ -87,6 +90,8 @@ def gl_constant(ambient_dim: int, dim: int, d_max: int) -> int:
 
 def trivial_bounds(q: int, dim: int, degree: int) -> tuple[int, int]:
     """(delta * p_r, delta * q^r): the projective and affine counting caps."""
+    from .space import count_projective
+
     return degree * count_projective(q, dim), degree * q ** max(dim, 0)
 
 
@@ -153,6 +158,8 @@ def estimate_suite(
     (delta * p_r, a cap on N itself rather than on |N - p_r|) is always
     appended so reports stay comparable across regimes.
     """
+    from .radicals import RootSum
+
     n, r, s = ambient_dim, dim, sing_dim
     multidegree = tuple(int(d) for d in multidegree)
     if n < 1 or not 0 <= r <= n - 1:
@@ -299,6 +306,7 @@ def verify_variety(v, betti: int | None = None) -> VerifyReport:
     Estimate rows compare |N - p_r| with their right-hand side; the trivial
     row compares N itself with delta * p_r.  Rows whose preconditions do not
     hold get verdict N-A and never fail."""
+    from .space import count_projective
     from .variety import count_points  # deferred; variety does not import bounds
 
     suite = estimate_suite(

@@ -168,7 +168,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_second_moment(args) -> int:
-    from .sections import second_moment
+    from .census import second_moment
     from .variety import load_variety
 
     v = load_variety(args.variety)
@@ -179,7 +179,7 @@ def _cmd_second_moment(args) -> int:
 
 
 def _cmd_hooley_census(args) -> int:
-    from .sections import hooley_condition_census
+    from .census import hooley_condition_census
     from .variety import load_variety
 
     v = load_variety(args.variety)

@@ -8,26 +8,15 @@ and claiming some s >= dim(Sing V) is always sound.  Every downstream report
 is conditional on these assertions being correct; nothing here certifies
 them beyond the rational sanity checks exposed below.
 
-Rational points over F_{q^e} are canonical projective representatives; the
-smoothness test at a point is the rank of the (#generators) x nvars matrix
-of formal partials, with full rank meaning smooth.
-
-Points are found a block at a time, never by evaluating a generator at each
-point.  P^n is listed stratum by stratum (the first nonzero coordinate X_c
-is 1), and within a stratum each prefix of the free coordinates is followed
-by all q^b values of the block, the last b coordinates; b is the widest
-with q^b <= 2^8, so b = 1 for q >= 17.  On a stratum a generator is a
-polynomial in the prefix and the block; at each prefix it is a polynomial
-in the block alone, whose coefficients cost one pass over the generator's
-terms and whose zeros come from rows of block monomials over all block
-values at once.  The same walker counts the zeros of a polynomial on
-F_q^m (``mpoly.count_affine_zeros``), the stratum with no pivot.
+Rational points over F_{q^e} are canonical projective representatives,
+found by ``points._points_idx``; the smoothness test at a point is the rank
+of the (#generators) x nvars matrix of formal partials, with full rank
+meaning smooth.
 """
 from __future__ import annotations
 
 import warnings
-from functools import cached_property, lru_cache
-from itertools import product
+from functools import cached_property
 from math import prod
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -36,7 +25,6 @@ from ._record import record
 from .errors import (
     ArityMismatch,
     BadSingularDim,
-    BudgetExceeded,
     CisectError,
     DimensionDriftWarning,
     DimensionMismatch,
@@ -50,23 +38,16 @@ from .errors import (
     ZeroGenerator,
 )
 from .ffield import FieldSpec, make_field
-from .linalg import rank_idx
 from .mpoly import (
     ANY_DEGREE,
     NOT_HOMOGENEOUS,
     SparsePolynomial,
-    _Line,
-    _stratum_zeros,
     check_homogeneous,
     eval_idx,
     parse_poly,
     partial_derivative,
 )
-from .space import (
-    BUDGET,
-    ProjPoint,
-    count_projective,
-)
+from .space import ProjPoint, count_projective
 
 
 @record
@@ -253,42 +234,6 @@ def extension_spec(v: VarietyDescriptor, ext: int) -> FieldSpec:
     return make_field(v.field.p, ext)
 
 
-@lru_cache(maxsize=128)
-def _points_idx(v: VarietyDescriptor, ext: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical representatives (packed indices) of V(F_{q^e}) in scan order.
-
-    The order is that of ``iter_projective_idx``: pivot c first, then the
-    free coordinates with X_n fastest.  So a stratum is a run of prefixes,
-    each followed by every value of the block, its last b coordinates,
-    where b is the widest with q^b <= 2^8 (b = 1 for q >= 17) and at most
-    n - c.  ``mpoly._stratum_zeros`` finds the zeros of all generators
-    among the q^b block values at once, at each prefix, from rows of block
-    monomials; when b = 1 a binomial compares one row of t^j with
-    -c0 / c1.  The last stratum is the single point (0:...:0:1).
-    """
-    spec = extension_spec(v, ext)
-    n, q = v.ambient_dim, spec.q
-    if count_projective(q, n) > BUDGET:
-        raise BudgetExceeded(
-            f"enumerating P^{n} over a field of order {q} exceeds the 2^26 cap"
-        )
-    # with n > 1 the budget keeps q below 2^13, and many prefixes share a row
-    line = _Line(spec, keep=n > 1)
-    out = []
-    for c in range(n):
-        head = (0,) * c + (1,)
-        b = min(line.width, n - c)
-        # the block values by position; zip makes the 1-tuples of one coordinate
-        block = None if b == 1 else list(product(range(q), repeat=b))
-        for prefix, hits in _stratum_zeros(v.generators, c, b, line):
-            values = zip(hits) if block is None else map(block.__getitem__, hits)
-            out.extend(map((head + prefix).__add__, values))
-    last = (0,) * n + (1,)
-    if all(eval_idx(g, last, spec) == 0 for g in v.generators):
-        out.append(last)
-    return tuple(out)
-
-
 def count_points(v: VarietyDescriptor, ext: int = 1) -> int:
     """|V(F_{q^e})| by exhaustive canonical enumeration.
 
@@ -296,6 +241,8 @@ def count_points(v: VarietyDescriptor, ext: int = 1) -> int:
     [p_r / (2 * degree), 2 * degree * p_r], a cheap signal that the asserted
     dimension is probably wrong for this variety.
     """
+    from .points import _points_idx
+
     n_points = len(_points_idx(v, ext))
     q = extension_spec(v, ext).q
     p_r = count_projective(q, v.asserted_dim)
@@ -310,6 +257,8 @@ def count_points(v: VarietyDescriptor, ext: int = 1) -> int:
 
 
 def rational_points(v: VarietyDescriptor, ext: int = 1) -> Iterator[ProjPoint]:
+    from .points import _points_idx
+
     spec = extension_spec(v, ext)
     for point in _points_idx(v, ext):
         yield ProjPoint(tuple(spec.from_index(i) for i in point))
@@ -320,6 +269,8 @@ def rational_points(v: VarietyDescriptor, ext: int = 1) -> Iterator[ProjPoint]:
 
 
 def _jacobian_rank_idx(v: VarietyDescriptor, coords: Sequence[int], ext: int) -> int:
+    from .linalg import rank_idx
+
     spec = extension_spec(v, ext)
     rows = [[eval_idx(d, coords, spec) for d in row] for row in v.jacobian]
     return rank_idx(rows, spec)
@@ -355,6 +306,8 @@ def rational_singular_points(
     v: VarietyDescriptor, ext: int = 1
 ) -> tuple[PointClassification, ...]:
     """Classify every rational point; returns the non-smooth ones."""
+    from .points import _points_idx
+
     spec = extension_spec(v, ext)
     full = v.codim
     out = []

@@ -27,11 +27,10 @@ from cisect import (
     zero_bound,
 )
 from cisect.cli import main
-from cisect.mpoly import (
-    SparsePolynomial,
+from cisect.mpoly import SparsePolynomial, partial_derivative
+from cisect.polytools import (
     VariableGrouping,
     count_affine_zeros,
-    partial_derivative,
     random_multihomogeneous,
     random_polynomial,
 )

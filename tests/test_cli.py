@@ -11,7 +11,7 @@ import pytest
 from cisect import cli
 from cisect.cli import main
 
-from conftest import VARIETY_DIR, run_python
+from conftest import SRC_DIR, VARIETY_DIR, run_python
 
 
 def var(name: str) -> str:
@@ -196,19 +196,20 @@ def test_import_leaves_numpy_and_multiprocessing_unloaded():
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
-def _loaded_by(argv: list[str], watch: list[str]) -> list[str]:
-    """The modules of ``watch`` that running the CLI on ``argv`` loads, in a
-    fresh process; modules the interpreter loaded at start-up do not count."""
+def _loaded_by(argv: list[str], watch: list[str], *more: list[str]) -> list[str]:
+    """The modules of ``watch`` that running the CLI on ``argv``, then on each
+    argument list of ``more``, loads in one fresh process; modules the
+    interpreter loaded at start-up do not count."""
     proc = run_python(
         "import json, sys; before = set(sys.modules); from cisect.cli import main; "
-        "code = main(sys.argv[2:]); sys.stdout.flush(); "
+        "codes = [main(argv) for argv in json.loads(sys.argv[2])]; sys.stdout.flush(); "
         "loaded = set(sys.argv[1].split(',')) & (set(sys.modules) - before); "
-        "print(json.dumps([code, sorted(loaded)]))",
-        ",".join(watch), *argv,
+        "print(json.dumps([codes, sorted(loaded)]))",
+        ",".join(watch), json.dumps([argv, *more]),
     )
     assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * (1 + len(more))
     return loaded
 
 
@@ -221,6 +222,49 @@ def test_count_loads_no_scan_estimate_or_display_code():
 def test_eta_loads_no_polynomial_or_display_code():
     watch = ["cisect.variety", "cisect.mpoly", "cisect.sections", "cisect.bounds", "decimal"]
     assert _loaded_by(["eta", "--q", "5", "--d", "2", "--n", "2"], watch) == ["cisect.bounds"]
+
+
+SUBMODULES = sorted(
+    f"cisect.{path.stem}" for path in (SRC_DIR / "cisect").glob("*.py") if path.stem[:2] != "__"
+)
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        (["count", var("cone13")], "ffield mpoly points space variety"),
+        (["count", var("cone13"), "--ext", "2"], "extfield ffield mpoly points space variety"),
+        (["verify", var("cone13")], "bounds ffield mpoly points radicals space variety"),
+        (["bounds", var("cone13")], "bounds ffield mpoly radicals space variety"),
+        (["bertini-scan", var("cone5"), "--mode", "projective"],
+         "bounds ffield linalg mpoly points sections space variety"),
+        (["bertini-scan", var("cone5"), "--max-ext", "2"],
+         "bounds extfield ffield linalg mpoly points sections space variety"),
+        (["second-moment", var("cone2"), "--s", "1"], "census ffield mpoly points space variety"),
+        (["hooley-census", var("cone5"), "--s", "0"], "census ffield mpoly points space variety"),
+        (["eta", "--q", "5", "--d", "2", "--n", "2"], "bounds"),
+    ],
+    ids=["count", "count-ext2", "verify", "bounds", "scan", "scan-ext2", "moment", "census", "eta"],
+)
+def test_each_subcommand_loads_only_its_own_modules(argv, modules):
+    """The README's start-up table: besides cli, errors and _record, a run
+    loads only what it executes.  So prime-field runs leave extfield out,
+    bounds leaves the point walker out, a moment or census loads neither
+    bounds, radicals nor the scan, a scan leaves census out, eta leaves every
+    field and polynomial module out, and polytools loads for no subcommand."""
+    expect = sorted(f"cisect.{m}" for m in ["_record", "cli", "errors", *modules.split()])
+    assert _loaded_by(argv, SUBMODULES) == expect
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "bounds"])
+def test_prime_field_corpus_loads_no_extension_field_code(command):
+    # the estimates on these files need b' passed in (index 0 and 2)
+    betti = {"point2": "0", "empty2": "1", "smooth_quadric3_nonsing": "1"}
+    runs = []
+    for path in sorted(VARIETY_DIR.glob("*.var")):
+        extra = ["--betti", betti[path.stem]] if command != "count" and path.stem in betti else []
+        runs.append([command, str(path), *extra])
+    assert _loaded_by(runs[0], ["cisect.extfield"], *runs[1:]) == []
 
 
 def test_bare_package_import_loads_no_submodule():

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from cisect import FieldElement, make_field, parse_variety
 from cisect.errors import BudgetExceeded, FieldMismatch, NotIrreducible, NotPrime
-from cisect.ffield import (
+from cisect.extfield import (
     ZERO_LOG,
     _is_irreducible,
     _poly_divmod,
     _poly_mul,
     _smallest_irreducible,
     _trim,
-    is_prime,
 )
+from cisect.ffield import is_prime
 from cisect.variety import extension_spec
 
 
@@ -228,6 +228,38 @@ def _check_against_reference(f, pairs):
             for x, y in zip(u, w):
                 acc = _ref_digitwise(f, acc, _ref_mul(f, x, y), 1)
             assert f.dot_idx(u, w) == acc
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 1)])
+def test_term_evaluation_matches_per_term_sums(p, k):
+    """eval_terms and eval_nonzero against the direct sum, term by term, of
+    c * prod x_i^(e_i) in polynomial arithmetic mod the modulus: several
+    term lists at one point, points with zero coordinates, exponents 0."""
+    f = make_field(p, k)
+    rng = random.Random(100 * p + k)
+
+    def direct(terms, point):
+        acc = 0
+        for c, exps in terms:
+            for x, e in zip(point, exps):
+                for _ in range(e):
+                    c = _ref_mul(f, c, x)
+            acc = _ref_digitwise(f, acc, c, 1)
+        return acc
+
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        point = tuple(rng.choice([0, 1, rng.randrange(f.q)]) for _ in range(n))
+        groups = [
+            (key, [(rng.randrange(1, f.q), tuple(rng.randint(0, 4) for _ in range(n)))
+                   for _ in range(rng.randint(0, 5))])
+            for key in range(rng.randint(1, 4))
+        ]
+        values = [direct(terms, point) for _, terms in groups]
+        assert [f.eval_terms(terms, point) for _, terms in groups] == values
+        assert f.eval_nonzero(groups, point) == [
+            (c, key) for (key, _), c in zip(groups, values) if c
+        ]
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,9 @@ from cisect import (
     section_smooth_check,
     verify_variety,
 )
-from cisect import bounds, ffield, mpoly, radicals, sections, space, variety
+from cisect import (
+    bounds, census, extfield, ffield, mpoly, polytools, radicals, sections, space, variety,
+)
 from cisect._record import FrozenRecordError
 
 from conftest import VARIETY_DIR, make_cone
@@ -37,10 +39,10 @@ from conftest import VARIETY_DIR, make_cone
 RECORDS = [
     bounds.EstimateRow, bounds.BoundReport, bounds.VerifyRow, bounds.VerifyReport,
     ffield.FieldSpec, ffield.FieldElement,
-    mpoly.VariableGrouping, mpoly.SparsePolynomial,
+    polytools.VariableGrouping, mpoly.SparsePolynomial,
     radicals.RootSum,
     sections.SectionTuple, sections.SectionVerdict, sections.ScanWitness,
-    sections.ScanReport, sections.SecondMomentResult, sections.HooleyCensus,
+    sections.ScanReport, census.SecondMomentResult, census.HooleyCensus,
     space.ProjPoint,
     variety.VarietyDescriptor, variety.PointClassification,
 ]
@@ -69,7 +71,7 @@ def _twin(cls, bases=()):
 
 TWIN = {cls: _twin(cls) for cls in RECORDS}
 # _LogField subclasses FieldSpec without decorating; its twin does the same
-LogTwin = _twin(ffield._LogField, (TWIN[ffield.FieldSpec],))
+LogTwin = _twin(extfield._LogField, (TWIN[ffield.FieldSpec],))
 
 
 def _fields(obj) -> tuple:
@@ -86,12 +88,12 @@ def _samples() -> dict[type, list]:
     gamma = SectionTuple.from_ints(f5, [(1, 0, 0, 0)])
     verdicts = [section_smooth_check(cone, gamma), section_smooth_check(
         cone, SectionTuple.from_ints(f5, [(0, 0, 0, 1)]))]
-    grouping = mpoly.VariableGrouping((2, 3))
+    grouping = polytools.VariableGrouping((2, 3))
     found = {
         ffield.FieldSpec: [f5, f8, ffield.FieldSpec(5, 1, (0, 1))],
         ffield.FieldElement: [f5.one, f5.from_index(3), f8.from_index(5), f8.one],
-        mpoly.VariableGrouping: [grouping, mpoly.VariableGrouping((1,)),
-                                 mpoly.VariableGrouping((2, 3))],
+        polytools.VariableGrouping: [grouping, polytools.VariableGrouping((1,)),
+                                 polytools.VariableGrouping((2, 3))],
         mpoly.SparsePolynomial: [*cone.generators, mpoly.SparsePolynomial.zero(f5, 4)],
         radicals.RootSum: [radicals.RootSum(), radicals.RootSum(3),
                            radicals.RootSum.of(1, [(2, 3)]), *(r.rhs for r in bound.rows)],
@@ -103,8 +105,8 @@ def _samples() -> dict[type, list]:
         sections.SectionVerdict: verdicts,
         sections.ScanWitness: list(report.witnesses),
         sections.ScanReport: [report, bertini_scan(cone)],
-        sections.SecondMomentResult: [second_moment(cone, 0), second_moment(make_cone(2), 0)],
-        sections.HooleyCensus: [hooley_condition_census(cone, 0),
+        census.SecondMomentResult: [second_moment(cone, 0), second_moment(make_cone(2), 0)],
+        census.HooleyCensus: [hooley_condition_census(cone, 0),
                                 hooley_condition_census(make_cone(2), 0)],
         space.ProjPoint: [v.witness for v in verdicts if v.witness is not None]
         + [space.ProjPoint((f5.one, f5.zero))],
@@ -172,8 +174,8 @@ def _rejections():
         (space.ProjPoint, ((zero, zero),)),
         (space.ProjPoint, ((two, one),)),
         (space.ProjPoint, ((one, f8.one),)),
-        (mpoly.VariableGrouping, ((),)),
-        (mpoly.VariableGrouping, ((2, 0),)),
+        (polytools.VariableGrouping, ((),)),
+        (polytools.VariableGrouping, ((2, 0),)),
         (mpoly.SparsePolynomial, (f5, 0, ())),
         (mpoly.SparsePolynomial, (f5, 2, ((f8.one, (1, 1)),))),
         (mpoly.SparsePolynomial, (f5, 2, ((zero, (1, 1)),))),

@@ -30,7 +30,7 @@ from cisect import (
     section_count,
     section_smooth_check,
 )
-from cisect import sections
+from cisect import census, sections
 from cisect.errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch
 from cisect.linalg import rank_idx, rref_idx
 from cisect.mpoly import eval_idx
@@ -42,7 +42,8 @@ from cisect.space import (
     iter_projective_idx,
     iter_rref_idx,
 )
-from cisect.variety import _points_idx, extension_spec
+from cisect.points import _points_idx
+from cisect.variety import extension_spec
 
 from conftest import (
     VARIETY_DIR,
@@ -512,7 +513,7 @@ def test_walked_masks_match_all_covectors(q):
     covectors linearly, so odd characteristic is checked here."""
     v = make_cone(q)
     points = list(rational_points(v))
-    walked = list(sections._hyperplane_masks(v))
+    walked = list(census._hyperplane_masks(v))
     assert [w for w, _ in walked] == list(iter_projective_idx(q, v.ambient_dim))
     for w, mask in walked:
         assert mask == sum(1 << i for i, x in enumerate(points) if annihilates(w, x)), w
@@ -771,7 +772,7 @@ def moment_cases(draw, q):
 @given(data=st.data())
 def test_histogram_matches_fold_oracle(q, data):
     v, s = data.draw(moment_cases(q))
-    hist = sections._section_histogram(v, s)
+    hist = census._section_histogram(v, s)
     assert hist == folded_histogram(v, s)
     assert sum(count for _, count in hist) == q ** (v.nvars * (s + 1))
 
@@ -784,7 +785,7 @@ def test_histogram_matches_fold_oracle(q, data):
     (make_cone_p4(4), 1),
 ], ids=["cone13-s0", "cubic_surface3-s1", "quadric_pair3-s1", "cone_p4_3-s2", "cone_p4_4-s1"])
 def test_histogram_matches_fold_oracle_on_named_cases(v, s):
-    assert sections._section_histogram(v, s) == folded_histogram(v, s)
+    assert census._section_histogram(v, s) == folded_histogram(v, s)
 
 
 def test_hyperplane_histogram_keeps_no_mask_table():
@@ -795,7 +796,7 @@ def test_hyperplane_histogram_keeps_no_mask_table():
     v = make_cone_p4(7)
     n_points = len(_points_idx(v, 1))  # cached before tracing starts
     bound = count_projective(7, 4) * n_points // 16
-    sections._section_histogram.cache_clear()
+    census._section_histogram.cache_clear()
 
     def peak(fn):
         tracemalloc.start()
@@ -805,5 +806,5 @@ def test_hyperplane_histogram_keeps_no_mask_table():
         finally:
             tracemalloc.stop()
 
-    assert peak(lambda: sections._section_histogram(v, 0)) < bound
-    assert peak(lambda: dict(sections._hyperplane_masks(v))) > bound
+    assert peak(lambda: census._section_histogram(v, 0)) < bound
+    assert peak(lambda: dict(census._hyperplane_masks(v))) > bound

@@ -33,10 +33,12 @@ from cisect.errors import (
     UnsupportedExtension,
     ZeroGenerator,
 )
-from cisect import variety
-from cisect.mpoly import eval_idx, lift_to
+from cisect import points
+from cisect.mpoly import eval_idx
+from cisect.points import _points_idx
+from cisect.polytools import lift_to
 from cisect.space import ProjPoint, count_projective, iter_projective_idx
-from cisect.variety import _points_idx, extension_spec
+from cisect.variety import extension_spec
 
 from conftest import (
     VARIETY_DIR,
@@ -191,7 +193,7 @@ def test_rational_points_lie_on_variety():
     v = make_cone(5)
     pts = list(rational_points(v))
     assert len(pts) == 31
-    from cisect.mpoly import eval_poly
+    from cisect.polytools import eval_poly
 
     for pt in pts:
         for gen in v.generators:
@@ -462,7 +464,7 @@ def test_points_work_once_per_prefix(monkeypatch, v, ext):
             return fn(*args)
         return counted
 
-    monkeypatch.setattr(variety, "eval_idx", counting("eval_idx", eval_idx))
+    monkeypatch.setattr(points, "eval_idx", counting("eval_idx", eval_idx))
     arith = type(extension_spec(v, ext))
     for name in ("sum_logs", "add_idx", "sub_idx", "neg_idx", "mul_idx", "inv_idx", "pow_idx"):
         monkeypatch.setattr(arith, name, counting("arith", getattr(arith, name)))
