@@ -14,21 +14,23 @@ space load them, so ``eta`` and the scan run on the formulas alone.
 """
 from __future__ import annotations
 
-from math import prod
+from math import log10, prod
 from typing import TYPE_CHECKING
 
 from ._record import record
-from .errors import BadSingularDim, InvalidInput, MissingBetti
+from .errors import BadSingularDim, BudgetExceeded, InvalidInput, MissingBetti
 
 if TYPE_CHECKING:
     from .radicals import RootSum
 
 
 def zero_bound(q: int, degrees, dims) -> int:
-    """Inclusion-exclusion cap on the number of zeros in F_q^{n_1+1} x ... of a
-    multihomogeneous polynomial of multidegree ``degrees`` on groups of sizes
-    ``dims[i] + 1``.  For a single group this is d * q^n.  The cap is only a
-    true bound when q > max(degrees); the value is returned regardless."""
+    """Cap on the number of zeros in F_q^{n_1+1} x ... of a multihomogeneous
+    polynomial of multidegree ``degrees`` on groups of sizes ``dims[i] + 1``:
+    the inclusion-exclusion sum over nonempty sets of groups, in closed form
+    q^(n_1+...+n_m) * (q^m - prod(q - d_i)), so d * q^n for one group.  It is
+    only a true bound when q > max(degrees); the value is returned regardless,
+    unless it might pass the 4300 digits Python prints (BudgetExceeded)."""
     degrees = tuple(int(d) for d in degrees)
     dims = tuple(int(n) for n in dims)
     m = len(degrees)
@@ -40,16 +42,14 @@ def zero_bound(q: int, degrees, dims) -> int:
         raise InvalidInput(f"q must be positive, got {q}")
     if any(d < 0 for d in degrees) or any(n < 0 for n in dims):
         raise InvalidInput("degrees and dimensions must be nonnegative")
-    size = sum(dims) + m
-    total = 0
-    for bits in range(1, 1 << m):
-        weight = bin(bits).count("1")
-        term = q ** (size - weight)
-        for i in range(m):
-            if bits >> i & 1:
-                term *= degrees[i]
-        total += term if weight % 2 else -term
-    return total
+    # |q - d| <= max(q, d), so |cap| < 2 * 10^digits, which prints in at most
+    # 4300 digits, Python's limit, when digits < 4299.6
+    digits = log10(q) * sum(dims) + sum(log10(max(q, d)) for d in degrees)
+    if digits >= 4299.6:
+        raise BudgetExceeded(
+            f"the zero cap has about {digits:.0f} digits, more than the 4300 Python prints"
+        )
+    return q ** sum(dims) * (q**m - prod(q - d for d in degrees))
 
 
 def bertini_degree(minor_degree: int, dim: int, sing_dim: int, degree: int) -> int:
@@ -271,6 +271,13 @@ def estimate_suite(
     )
 
 
+def _variety_suite(v, betti: int | None) -> BoundReport:
+    """The estimate suite of a variety descriptor's asserted data."""
+    return estimate_suite(
+        v.field.q, v.ambient_dim, v.asserted_dim, v.asserted_sing_dim, v.multidegree, betti
+    )
+
+
 @record
 class VerifyRow:
     name: str
@@ -309,14 +316,7 @@ def verify_variety(v, betti: int | None = None) -> VerifyReport:
     from .space import count_projective
     from .variety import count_points  # deferred; variety does not import bounds
 
-    suite = estimate_suite(
-        v.field.q,
-        v.ambient_dim,
-        v.asserted_dim,
-        v.asserted_sing_dim,
-        v.multidegree,
-        betti,
-    )
+    suite = _variety_suite(v, betti)
     n_points = count_points(v)
     expected = count_projective(v.field.q, v.asserted_dim)
     deviation = abs(n_points - expected)

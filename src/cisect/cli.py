@@ -8,8 +8,9 @@ any fails, 2 on a CisectError or OSError (one diagnostic line on stderr), 141
 first.  Any other exception is a bug and propagates with its traceback.
 A DimensionDriftWarning prints as one line, ``cisect: warning: ...``.
 
-Each handler imports the modules it runs, so a process loads the code of its
-own subcommand and nothing else: ``count`` never compiles the scan or the
+``main`` loads the variety file of every subcommand that takes one, and each
+handler imports the modules it runs, so a process loads the code of its own
+subcommand and nothing else: ``count`` never compiles the scan or the
 estimate code, and ``eta`` never compiles the polynomial code.
 """
 from __future__ import annotations
@@ -55,27 +56,16 @@ def _emit(lines: list[str], output: Path | None) -> None:
             handle.write(text)
 
 
-def _bounds_csv(report) -> list[str]:
+def _estimate_csv(report, columns: str) -> list[str]:
+    """A bounds or verify report: each row's name, then its fields named in
+    ``columns``, the right-hand side to 12 significant digits."""
     from .radicals import display_12
 
-    lines = ["estimate,rhs,applicable,condition"]
+    show = {"rhs": display_12, "applicable": _bool}
+    names = columns.split(",")
+    lines = ["estimate," + columns]
     for row in report.rows:
-        lines.append(
-            _csv_line([row.name, display_12(row.rhs), _bool(row.applicable), row.condition])
-        )
-    return lines
-
-
-def _verify_csv(report) -> list[str]:
-    from .radicals import display_12
-
-    lines = ["estimate,lhs,rhs,applicable,verdict"]
-    for row in report.rows:
-        lines.append(
-            _csv_line(
-                [row.name, row.lhs, display_12(row.rhs), _bool(row.applicable), row.verdict]
-            )
-        )
+        lines.append(_csv_line([row.name] + [show.get(n, str)(getattr(row, n)) for n in names]))
     return lines
 
 
@@ -126,52 +116,39 @@ def _resolve_s(arg_s: int | None, v: VarietyDescriptor) -> int:
 
 
 def _cmd_count(args) -> int:
-    from .variety import count_points, load_variety
+    from .variety import count_points
 
-    v = load_variety(args.variety)
-    print(count_points(v, args.ext))
+    print(count_points(args.variety, args.ext))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    from .bounds import estimate_suite
-    from .variety import load_variety
+    from .bounds import _variety_suite
 
-    v = load_variety(args.variety)
-    report = estimate_suite(
-        v.field.q,
-        v.ambient_dim,
-        v.asserted_dim,
-        v.asserted_sing_dim,
-        v.multidegree,
-        args.betti,
-    )
-    _emit(_bounds_csv(report), args.output)
+    report = _variety_suite(args.variety, args.betti)
+    _emit(_estimate_csv(report, "rhs,applicable,condition"), args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
     from .bounds import verify_variety
     from .radicals import display_30
-    from .variety import load_variety
 
-    v = load_variety(args.variety)
-    report = verify_variety(v, args.betti)
+    report = verify_variety(args.variety, args.betti)
     print(
         f"N={report.point_count} p_r={report.expected} deviation={report.deviation}"
     )
     for row in report.rows:
         print(f"{row.name}: lhs={row.lhs} rhs={display_30(row.rhs)} {row.verdict}")
     if args.output is not None:
-        _emit(_verify_csv(report), args.output)
+        _emit(_estimate_csv(report, "lhs,rhs,applicable,verdict"), args.output)
     return 0 if report.all_pass else 1
 
 
 def _cmd_second_moment(args) -> int:
     from .census import second_moment
-    from .variety import load_variety
 
-    v = load_variety(args.variety)
+    v = args.variety
     result = second_moment(v, _resolve_s(args.s, v))
     word = "EQUAL" if result.equal else "UNEQUAL"
     print(f"computed={result.computed} lemma={result.closed_form} {word}")
@@ -180,9 +157,8 @@ def _cmd_second_moment(args) -> int:
 
 def _cmd_hooley_census(args) -> int:
     from .census import hooley_condition_census
-    from .variety import load_variety
 
-    v = load_variety(args.variety)
+    v = args.variety
     census = hooley_condition_census(v, _resolve_s(args.s, v))
     word = "HALF-MASS" if census.half_mass else "NO-HALF-MASS"
     print(f"satisfying={census.satisfying} total={census.total} {word}")
@@ -191,21 +167,15 @@ def _cmd_hooley_census(args) -> int:
 
 def _cmd_bertini_scan(args) -> int:
     from .sections import bertini_scan
-    from .variety import load_variety
 
-    v = load_variety(args.variety)
-    report = bertini_scan(v, max_ext=args.max_ext, mode=args.mode)
-    _emit(_scan_csv(report, v), args.output)
+    report = bertini_scan(args.variety, max_ext=args.max_ext, mode=args.mode)
+    _emit(_scan_csv(report, args.variety), args.output)
     if args.output is not None:
         print(
             f"mode={report.mode} total={report.total} pass={report.pass_count} "
             f"rank_fail={report.rank_fail_count} degenerate={report.degenerate_count}"
         )
-    ok = True
-    for verdict in (report.floor_satisfied, report.ceiling_satisfied):
-        if verdict is False:
-            ok = False
-    return 0 if ok else 1
+    return 1 if False in (report.floor_satisfied, report.ceiling_satisfied) else 0
 
 
 def _cmd_eta(args) -> int:
@@ -301,6 +271,11 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
+            if "variety" in args:
+                from .variety import load_variety
+
+                # handlers get the loaded descriptor in place of its path
+                args.variety = load_variety(args.variety)
             code = args.func(args)
         # flush inside the try so a closed pipe is reported here, not at exit
         sys.stdout.flush()

@@ -30,7 +30,7 @@ from itertools import compress, islice, product, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotIrreducible
-from .ffield import FieldSpec
+from .ffield import FieldSpec, _prime_factors
 
 if TYPE_CHECKING:
     from array import array
@@ -96,19 +96,6 @@ def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> li
         base = _poly_divmod(_poly_mul(base, base, p), modulus, p)[1]
         e >>= 1
     return result
-
-
-def _prime_factors(n: int) -> list[int]:
-    out, f = [], 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:

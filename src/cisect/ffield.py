@@ -32,20 +32,23 @@ from .errors import BudgetExceeded, FieldMismatch, NotIrreducible, NotPrime
 MAX_ORDER = 1 << 20
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (n is at most 2**20 here)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
+    out, f = [], 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 2 if f > 2 else 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test by trial division."""
+    return n > 1 and _prime_factors(n) == [n]
 
 
 @record
@@ -206,38 +209,30 @@ class FieldElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def _check(self, other: "FieldElement") -> None:
+    def _apply(self, op, other) -> "FieldElement":
+        # the one operand path of + - * /: a non-element is NotImplemented,
+        # an element of another field a FieldMismatch
+        if not isinstance(other, FieldElement):
+            return NotImplemented
         if other.field != self.field:
             raise FieldMismatch(f"operands live in {self.field} and {other.field}")
+        return self.field.from_index(op(self.idx, other.idx))
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return self.field.from_index(self.field.add_idx(self.idx, other.idx))
+        return self._apply(self.field.add_idx, other)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return self.field.from_index(self.field.sub_idx(self.idx, other.idx))
+        return self._apply(self.field.sub_idx, other)
 
     def __neg__(self) -> "FieldElement":
         return self.field.from_index(self.field.neg_idx(self.idx))
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return self.field.from_index(self.field.mul_idx(self.idx, other.idx))
+        return self._apply(self.field.mul_idx, other)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        self._check(other)
-        return self.field.from_index(
-            self.field.mul_idx(self.idx, self.field.inv_idx(other.idx))
-        )
+        f = self.field
+        return self._apply(lambda a, b: f.mul_idx(a, f.inv_idx(b)), other)
 
     def __pow__(self, e: int) -> "FieldElement":
         if e < 0:
@@ -268,7 +263,8 @@ def make_field(p: int, k: int = 1, modulus: Sequence[int] | None = None) -> Fiel
         raise ValueError(f"extension degree must be >= 1, got {k}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p**k > MAX_ORDER:
+    # p >= 2, so k > 20 alone passes the cap, and p**k need not be formed
+    if k > 20 or p**k > MAX_ORDER:
         raise BudgetExceeded(f"field order {p}^{k} exceeds the cap 2^20")
     if k == 1:
         if modulus is not None and tuple(modulus) != (0, 1):

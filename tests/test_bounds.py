@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cisect import (
     BoundReport,
@@ -15,7 +18,7 @@ from cisect import (
     verify_variety,
     zero_bound,
 )
-from cisect.errors import BadSingularDim, InvalidInput, MissingBetti
+from cisect.errors import BadSingularDim, BudgetExceeded, InvalidInput, MissingBetti
 from cisect.radicals import RootSum, display_12, display_30
 
 from conftest import make_cone, make_smooth_quadric
@@ -88,6 +91,49 @@ def test_zero_bound_factorized_complement():
                 for d, n in zip(degs, dims):
                     comp *= q ** (n + 1) - d * q**n
                 assert zero_bound(q, degs, dims) == total - comp
+
+
+def _inclusion_exclusion(q: int, degrees, dims) -> int:
+    # the cap as the paper sums it: over each nonempty set S of groups,
+    # (-1)^(|S|+1) * q^(sum of (n_i + 1) - |S|) * prod_{i in S} d_i
+    size = sum(dims) + len(dims)
+    total = 0
+    for bits in range(1, 1 << len(degrees)):
+        chosen = [d for i, d in enumerate(degrees) if bits >> i & 1]
+        term = q ** (size - len(chosen))
+        for d in chosen:
+            term *= d
+        total += term if len(chosen) % 2 else -term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 9),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 4)), min_size=1, max_size=6),
+)
+def test_zero_bound_matches_inclusion_exclusion(q, groups):
+    # degrees run past q, where the cap is no bound but still the same sum
+    degrees, dims = zip(*groups)
+    assert zero_bound(q, degrees, dims) == _inclusion_exclusion(q, degrees, dims)
+
+
+def test_zero_bound_with_forty_groups():
+    # 2^40 subsets: only the product form gets here
+    t0 = time.perf_counter()
+    assert zero_bound(3, (1,) * 40, (2,) * 40) == 3**80 * (3**40 - 2**40)
+    # one degree equal to q zeroes the product
+    assert zero_bound(5, range(40), [1] * 40) == 5**80
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_zero_bound_refuses_caps_too_long_to_print():
+    assert zero_bound(10, (1,), (4298,)) == 10**4298
+    with pytest.raises(BudgetExceeded, match="about 5001 digits"):
+        zero_bound(10, (1,), (5000,))
+    # a huge degree makes a huge cap however small q and n are
+    with pytest.raises(BudgetExceeded):
+        zero_bound(2, (10**1500,) * 3, (0, 0, 0))
 
 
 def test_zero_bound_monotone_in_degree():

@@ -56,6 +56,18 @@ def test_eta(capsys):
     assert (code, out) == (0, "50\n")
 
 
+def test_eta_with_forty_groups(capsys):
+    ones = ",".join(["1"] * 40)
+    code, out, _ = run(capsys, "eta", "--q", "3", "--d", ones, "--n", ones)
+    assert (code, out) == (0, f"{3**40 * (3**40 - 2**40)}\n")
+
+
+def test_eta_too_long_to_print_is_input_error(capsys):
+    code, out, err = run(capsys, "eta", "--q", "10", "--d", "1", "--n", "5000")
+    assert (code, out) == (2, "")
+    assert err == "cisect: the zero cap has about 5001 digits, more than the 4300 Python prints\n"
+
+
 def test_second_moment_line(capsys):
     code, out, _ = run(capsys, "second-moment", var("cone2"), "--s", "0")
     assert code == 0
@@ -290,6 +302,11 @@ def test_budget_exhaustion_is_input_error(capsys):
     code, _, err = run(capsys, "second-moment", var("cone13"), "--s", "1")
     assert code == 2
     assert "2^26" in err
+
+
+def test_huge_extension_degree_exits_two_at_once(capsys):
+    code, out, err = run(capsys, "count", var("cone13"), "--ext", "100000000")
+    assert (code, out, err) == (2, "", "cisect: field order 13^100000000 exceeds the cap 2^20\n")
 
 
 def test_unknown_subcommand_exits_two(capsys):

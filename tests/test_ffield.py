@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from cisect.extfield import (
     _smallest_irreducible,
     _trim,
 )
-from cisect.ffield import is_prime
+from cisect.ffield import _prime_factors, is_prime
 from cisect.variety import extension_spec
 
 
@@ -95,6 +97,53 @@ def test_validation_errors():
         make_field(2, 21)  # 2^21 > 2^20 cap
     with pytest.raises(ValueError):
         make_field(5, 0)
+
+
+def test_is_prime_and_prime_factors_match_naive_division():
+    def naive_prime(n):
+        return n > 1 and all(n % d for d in range(2, n))
+
+    assert [n for n in range(-3, 400) if is_prime(n)] == [n for n in range(400) if naive_prime(n)]
+    for n in itertools.chain(range(1, 400), [2**20 - 1, 2**20 - 3, 3**12 - 1, 1021 * 1031]):
+        factors = _prime_factors(n)
+        assert factors == sorted(set(factors)) and all(is_prime(f) for f in factors)
+        rest = n
+        for f in factors:
+            while rest % f == 0:
+                rest //= f
+        assert rest == 1
+
+
+def test_field_order_cap_refuses_huge_degree_at_once():
+    # p^k is never formed when k alone passes the cap
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"13\^100000000 exceeds the cap 2\^20"):
+        make_field(13, 10**8)
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(NotPrime):
+        make_field(1, 10**8)
+
+
+# each operator with its value at 2 and 4 in F_5: 4 is its own inverse there
+ARITH = [(operator.add, 1), (operator.sub, 3), (operator.mul, 3), (operator.truediv, 3)]
+
+
+@pytest.mark.parametrize("op,value", ARITH, ids=["add", "sub", "mul", "div"])
+def test_operand_checks(op, value):
+    f5, f7 = make_field(5), make_field(7)
+    a = f5.element(2)
+    assert op(a, f5.element(4)) == f5.element(value)
+    for other in (3, 3.0, "x", None):
+        with pytest.raises(TypeError):
+            op(a, other)
+        with pytest.raises(TypeError):
+            op(other, a)
+    with pytest.raises(FieldMismatch):
+        op(a, f7.element(1))
+    f9a = make_field(3, 2)
+    f9b = make_field(3, 2, modulus=(2, 2, 1))
+    with pytest.raises(FieldMismatch):
+        op(f9a.element((1, 0)), f9b.element((1, 0)))
 
 
 def test_field_mismatch():
