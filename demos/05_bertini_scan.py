@@ -17,7 +17,7 @@ HERE = Path(__file__).resolve().parent.parent
 v = load_variety(HERE / "varieties" / "cone5.var")
 
 for mode in ("affine", "projective"):
-    rep = bertini_scan(v, mode=mode, workers=2)
+    rep = bertini_scan(v, mode=mode)
     print(f"{mode} scan of {rep.total} covector tuples:")
     print(f"  pass {rep.pass_count}, rank-fail {rep.rank_fail_count}, "
           f"degenerate {rep.degenerate_count}")

@@ -21,7 +21,7 @@ from math import prod
 from typing import Iterator
 
 from ._record import record
-from .errors import BadSingularDim, BudgetExceeded
+from .errors import BadSingularDim, BudgetExceeded, _decimal
 from .points import _points_idx
 from .space import BUDGET, iter_rref_idx
 from .variety import VarietyDescriptor
@@ -117,7 +117,8 @@ def _squared_deviations(v: VarietyDescriptor, s: int):
         raise BadSingularDim(f"moment order s must be >= 0, got {s}")
     total = v.field.q ** (v.nvars * (s + 1))
     if total > BUDGET:
-        raise BudgetExceeded(f"{total} covector tuples exceed the 2^26 moment cap")
+        count = _decimal(total, "the covector tuple count")
+        raise BudgetExceeded(f"{count} covector tuples exceed the 2^26 moment cap")
     n_points = len(_points_idx(v, 1))
     qs = v.field.q ** (s + 1)
     devs = [((n_points - qs * n_gamma) ** 2, count) for n_gamma, count in _section_histogram(v, s)]

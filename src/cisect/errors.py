@@ -23,6 +23,15 @@ class BudgetExceeded(CisectError, ValueError):
     """An enumeration or construction would exceed the engine's hard caps."""
 
 
+def _decimal(n: int, what: str) -> str:
+    """n in decimal, or BudgetExceeded naming ``what`` past the 4300 digits
+    Python prints, decided from the bit length before any string is formed."""
+    if n.bit_length() >= 14285 and abs(n) >= 10**4300:  # 10^4300 has 14 285 bits
+        digits = n.bit_length() * 30103 // 100000 + 1
+        raise BudgetExceeded(f"{what} has about {digits} digits, more than the 4300 Python prints")
+    return str(n)
+
+
 class FieldMismatch(CisectError, ValueError):
     """Operands belong to different field specs."""
 

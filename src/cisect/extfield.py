@@ -99,15 +99,14 @@ def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> li
 
 
 def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
-    """Full trial-division irreducibility test for a monic polynomial.
+    """Full trial-division irreducibility test for a monic polynomial of
+    degree k >= 2.
 
     A root search rules out linear factors; trial division by every monic
     polynomial of degree up to deg/2 covers the rest.  Within the q <= 2**20
     cap there are at most ~2**10 candidate divisors, so this stays cheap.
     """
     k = len(coeffs) - 1
-    if k == 1:
-        return True
     if any(_poly_eval(coeffs, x, p) == 0 for x in range(p)):
         return False
     if k <= 3:
@@ -123,10 +122,9 @@ def _is_irreducible(coeffs: Sequence[int], p: int) -> bool:
 @cache
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     # itertools.product yields coefficient tuples in ascending lexicographic
-    # order with the constant term compared first; for k > 1 that term starts
-    # at 1, since X divides every candidate without one
-    lows = range(1 if k > 1 else 0, p)
-    for tail in product(lows, *[range(p)] * (k - 1)):
+    # order with the constant term compared first; for k >= 2 that term
+    # starts at 1, since X divides every candidate without one
+    for tail in product(range(1, p), *[range(p)] * (k - 1)):
         cand = tail + (1,)
         if _is_irreducible(cand, p):
             return cand

@@ -16,6 +16,7 @@ from math import isqrt
 from typing import TYPE_CHECKING
 
 from ._record import record
+from .errors import _decimal
 
 if TYPE_CHECKING:
     from decimal import Decimal
@@ -86,12 +87,12 @@ class RootSum:
 def display_30(value: RootSum) -> str:
     """Decimal rendering with at least 30 significant digits (exact for integers)."""
     if value.is_integer:
-        return str(value.const)
+        return _decimal(value.const, "an exact bound")
     return str(value.to_decimal(prec=36))
 
 
 def display_12(value: RootSum) -> str:
     """CSV rendering: exact decimal for integers, 12 significant digits otherwise."""
     if value.is_integer:
-        return str(value.const)
+        return _decimal(value.const, "an exact bound")
     return format(value.to_decimal(prec=40), ".11E")

@@ -28,13 +28,10 @@ and no incidence mask or per-section rank test is needed.  Witnesses come
 in tuple enumeration order (affine coefficient tuples, or products of
 canonical projective representatives): a walk from index 0 looks each
 tuple's reduced form up among the failing subspaces and stops at the tenth
-hit, without classifying anything.  The scan runs in one process, so
-reports do not depend on the worker count.
+hit, without classifying anything.
 
-Section counts rest on one predicate: does the covector w vanish at the
-point x?  A covector's incidence mask over a point list has bit i set iff w
-annihilates the i-th point, and the points of a section are the AND of its
-rows' masks.
+A section count and a one-tuple verdict keep, for each row of the tuple in
+turn, the points on its hyperplane, in enumeration order.
 
 The second moment and the census live in ``census``, whose public names
 resolve here too, so a scan and a census each compile only their own half.
@@ -49,14 +46,13 @@ from typing import Iterator, Sequence
 from . import _lazy
 from ._record import record
 from .bounds import bertini_degree, zero_bound
-from .errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch
+from .errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch, _decimal
 from .ffield import FieldElement, FieldSpec
 from .linalg import echelon_idx, nullspace_idx, rank_idx, rref_idx
-from .mpoly import eval_idx
 from .points import _points_idx
 from .space import BUDGET, ProjPoint, count_grassmannian, count_projective, iter_affine_idx
 from .space import iter_projective_idx, iter_rref_idx
-from .variety import VarietyDescriptor, extension_spec
+from .variety import VarietyDescriptor, _jacobian_rows, extension_spec
 
 
 class SectionClass(Enum):
@@ -120,29 +116,18 @@ def _check_gamma(v: VarietyDescriptor, gamma: SectionTuple) -> tuple[tuple[int, 
     return rows
 
 
-def _incidence_mask(
-    w: Sequence[int], pts: Sequence[tuple[int, ...]], spec: FieldSpec
-) -> int:
-    """Bit i is set iff the covector w annihilates pts[i]."""
+def _points_on(rows: Sequence[Sequence[int]], pts: Sequence, spec: FieldSpec) -> Sequence:
+    """The points of the list pts on every hyperplane of the tuple, in order."""
     dot = spec.dot_idx
-    return sum(1 << i for i, x in enumerate(pts) if not dot(w, x))
-
-
-def _section_mask(
-    rows: Sequence[Sequence[int]], pts: Sequence[tuple[int, ...]], spec: FieldSpec
-) -> int:
-    """Bit i is set iff pts[i] lies on every hyperplane of the tuple."""
-    mask = (1 << len(pts)) - 1
     for w in rows:
-        mask &= _incidence_mask(w, pts, spec)
-    return mask
+        pts = [x for x in pts if not dot(w, x)]
+    return pts
 
 
 def section_count(v: VarietyDescriptor, gamma: SectionTuple, ext: int = 1) -> int:
     """|{x in V(F_{q^e}) : gamma . x = 0}| counted projectively."""
     rows = _check_gamma(v, gamma)
-    spec = extension_spec(v, ext)
-    return _section_mask(rows, _points_idx(v, ext), spec).bit_count()
+    return len(_points_on(rows, _points_idx(v, ext), extension_spec(v, ext)))
 
 
 def section_smooth_check(
@@ -163,11 +148,8 @@ def section_smooth_check(
         full = v.codim + s + 1
         for e in range(1, max_ext + 1):
             spec = extension_spec(v, e)
-            for x in _points_idx(v, e):
-                if any(spec.dot_idx(w, x) for w in form):
-                    continue
-                stacked = [[eval_idx(d, x, spec) for d in row] for row in v.jacobian]
-                if rank_idx([*stacked, *form], spec) < full:
+            for x in _points_on(form, _points_idx(v, e), spec):
+                if rank_idx([*_jacobian_rows(v, x, spec), *form], spec) < full:
                     kind, ext = SectionClass.RANK_FAIL, e
                     witness = ProjPoint(tuple(spec.from_index(i) for i in x))
                     break
@@ -175,7 +157,7 @@ def section_smooth_check(
                 break
     return SectionVerdict(
         gamma=gamma,
-        point_count=_section_mask(rows, _points_idx(v, 1), v.field).bit_count(),
+        point_count=len(_points_on(rows, _points_idx(v, 1), v.field)),
         classification=kind,
         witness=witness,
         witness_ext=ext,
@@ -298,7 +280,7 @@ def _mark_subspaces(v: VarietyDescriptor, max_ext: int):
         for x in _points_idx(v, e):
             if len(failing) == subspaces:
                 return 0, failing
-            form = echelon_idx([[eval_idx(d, x, spec) for d in row] for row in v.jacobian], spec)[0]
+            form = echelon_idx(_jacobian_rows(v, x, spec), spec)[0]
             smooth = len(form) == v.codim
             digits = _digit_rows(x, e, spec)
             if s or not smooth:
@@ -355,7 +337,6 @@ def bertini_scan(
     v: VarietyDescriptor,
     max_ext: int = 1,
     mode: str = "affine",
-    workers: int = 1,
 ) -> ScanReport:
     """Classify every covector tuple for s = asserted_sing_dim.
 
@@ -363,15 +344,12 @@ def bertini_scan(
     counts products of canonical representatives.  Each (s+1)-dimensional
     subspace stands for every tuple spanning it, and one walk over the points
     of each level marks the failing subspaces with their first witnesses.
-    The scan runs in this process; ``workers`` is checked but changes
-    nothing.  Reports the count of passing tuples together with the
-    closed-form floor on passing affine tuples (when q exceeds the section
-    degree bound) and the hypersurface ceiling on failures.
+    Reports the count of passing tuples together with the closed-form floor
+    on passing affine tuples (when q exceeds the section degree bound) and
+    the hypersurface ceiling on failures.
     """
     if mode not in ("affine", "projective"):
         raise ValueError(f"mode must be 'affine' or 'projective', got {mode!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if max_ext < 1:
         raise ValueError("max_ext must be >= 1")
     s = v.asserted_sing_dim
@@ -387,7 +365,8 @@ def bertini_scan(
     else:
         total = count_projective(q, n) ** (s + 1)
     if total > BUDGET:
-        raise BudgetExceeded(f"{total} section tuples exceed the 2^26 scan cap")
+        count = _decimal(total, "the section tuple count")
+        raise BudgetExceeded(f"{count} section tuples exceed the 2^26 scan cap")
 
     d_bert = bertini_degree(v.minor_degree, r, s, v.degree)
     floor_applicable = q > d_bert

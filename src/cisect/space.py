@@ -25,7 +25,7 @@ def count_projective(q: int, r: int) -> int:
     """Number of points of r-dimensional projective space over F_q."""
     if r < 0:
         return 0
-    return sum(q**i for i in range(r + 1))
+    return r + 1 if q == 1 else (q ** (r + 1) - 1) // (q - 1)
 
 
 def count_grassmannian(q: int, k: int, m: int) -> int:

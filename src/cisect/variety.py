@@ -268,12 +268,16 @@ def rational_points(v: VarietyDescriptor, ext: int = 1) -> Iterator[ProjPoint]:
 # smoothness at rational points
 
 
+def _jacobian_rows(v: VarietyDescriptor, coords: Sequence[int], spec: FieldSpec) -> list:
+    """The Jacobian at a point of packed indices over spec, one row per generator."""
+    return [[eval_idx(d, coords, spec) for d in row] for row in v.jacobian]
+
+
 def _jacobian_rank_idx(v: VarietyDescriptor, coords: Sequence[int], ext: int) -> int:
     from .linalg import rank_idx
 
     spec = extension_spec(v, ext)
-    rows = [[eval_idx(d, coords, spec) for d in row] for row in v.jacobian]
-    return rank_idx(rows, spec)
+    return rank_idx(_jacobian_rows(v, coords, spec), spec)
 
 
 def jacobian_rank_at(v: VarietyDescriptor, x: ProjPoint) -> int:
@@ -281,18 +285,16 @@ def jacobian_rank_at(v: VarietyDescriptor, x: ProjPoint) -> int:
     if len(x.coords) != v.nvars:
         raise ArityMismatch(f"point has {len(x.coords)} coordinates, expected {v.nvars}")
     spec = x.field
-    if spec == v.field:
-        ext = 1
-    elif spec.p == v.field.p and v.field.k == 1:
-        ext = spec.k
-        if extension_spec(v, ext) != spec:
+    if spec != v.field:
+        if spec.p != v.field.p or v.field.k != 1:
+            raise FieldMismatch("point field does not match the variety")
+        if extension_spec(v, spec.k) != spec:
             raise FieldMismatch("point lives in an incompatible extension")
-    else:
-        raise FieldMismatch("point field does not match the variety")
     coords = tuple(c.idx for c in x.coords)
     if any(eval_idx(g, coords, spec) != 0 for g in v.generators):
         raise PointNotOnVariety(f"{x} is not on the variety")
-    return _jacobian_rank_idx(v, coords, ext)
+    # a point over the base field has ext = 1, and one over F_{p^e} ext = e
+    return _jacobian_rank_idx(v, coords, spec.k // v.field.k)
 
 
 @record

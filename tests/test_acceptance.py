@@ -170,7 +170,7 @@ def test_criterion_5_bertini_scan_cone13():
     t0 = time.perf_counter()
     problems: list[str] = []
     v = make_cone(13)
-    aff = bertini_scan(v, mode="affine", workers=8)
+    aff = bertini_scan(v, mode="affine")
     if aff.total != 28561:
         problems.append(f"affine total {aff.total} != 13^4")
     if aff.pass_count + aff.rank_fail_count + aff.degenerate_count != aff.total:
@@ -201,7 +201,7 @@ def test_criterion_5_bertini_scan_cone13():
         if rep.classification is not SectionClass.PASS:
             problems.append(f"vertex-avoiding {gamma} unexpectedly fails")
 
-    proj = bertini_scan(v, mode="projective", workers=8)
+    proj = bertini_scan(v, mode="projective")
     if proj.total != 2380:
         problems.append(f"projective total {proj.total} != p_3(13)")
     if proj.rank_fail_count + proj.degenerate_count != 183:

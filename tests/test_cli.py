@@ -304,6 +304,42 @@ def test_budget_exhaustion_is_input_error(capsys):
     assert "2^26" in err
 
 
+TOO_LONG = " digits, more than the 4300 Python prints\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bertini-scan"], "cisect: the section tuple count has about 4817" + TOO_LONG),
+    (["bertini-scan", "--mode", "projective"], "cisect: the section tuple count has about 4811" + TOO_LONG),
+    (["second-moment", "--s", "0"], "cisect: the covector tuple count has about 4817" + TOO_LONG),
+    (["hooley-census", "--s", "0"], "cisect: the covector tuple count has about 4817" + TOO_LONG),
+    (["bounds", "--betti", "1"], "cisect: an exact bound has about 4805" + TOO_LONG),
+    (["verify", "--betti", "1"],
+     "cisect: enumerating P^799 over a field of order 1048576 exceeds the 2^26 cap\n"),
+], ids=["scan-affine", "scan-projective", "second-moment", "hooley-census", "bounds", "verify"])
+def test_counts_too_long_to_print_are_input_errors(capsys, tmp_path, argv, err):
+    # over F_(2^20) with 800 coordinates, (2^20)^800 tuples and the trivial
+    # bound 1 + 2^20 + ... + 2^15960 pass Python's 4300-digit limit
+    path = tmp_path / "wide.var"
+    one = ";".join(["1"] + ["0"] * 19)
+    path.write_text(
+        "[field]\np = 2\nk = 20\n[variety]\nnvars = 800\ndim = 798\nsingdim = 0\n"
+        f"poly = {one}:1{',0' * 799}\n"
+    )
+    code, out, got = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, got) == (2, "", err)
+
+
+def test_decimal_keeps_every_number_python_prints():
+    from cisect.errors import BudgetExceeded, _decimal
+
+    assert _decimal(10**4300 - 1, "n") == "9" * 4300
+    assert _decimal(-(10**4300 - 1), "n") == "-" + "9" * 4300
+    with pytest.raises(BudgetExceeded, match="^n has about 4301 digits, more than the 4300"):
+        _decimal(10**4300, "n")
+    with pytest.raises(BudgetExceeded, match="^n has about 6021 digits"):
+        _decimal(-(2**20000), "n")
+
+
 def test_huge_extension_degree_exits_two_at_once(capsys):
     code, out, err = run(capsys, "count", var("cone13"), "--ext", "100000000")
     assert (code, out, err) == (2, "", "cisect: field order 13^100000000 exceeds the cap 2^20\n")

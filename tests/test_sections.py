@@ -10,7 +10,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from cisect import (
@@ -34,7 +34,6 @@ from cisect import census, sections
 from cisect.errors import ArityMismatch, BadSingularDim, BudgetExceeded, FieldMismatch
 from cisect.linalg import rank_idx, rref_idx
 from cisect.mpoly import eval_idx
-from cisect.sections import _incidence_mask
 from cisect.space import (
     BUDGET,
     count_grassmannian,
@@ -203,16 +202,6 @@ def test_scan_cone_f5_exact():
     assert rep.degenerate_count == 1
 
 
-def test_scan_worker_invariance():
-    v = make_smooth_quadric(3)
-    solo = bertini_scan(v, workers=1)
-    multi = bertini_scan(v, workers=3)
-    assert solo == multi
-    proj1 = bertini_scan(v, mode="projective", workers=1)
-    proj4 = bertini_scan(v, mode="projective", workers=4)
-    assert proj1 == proj4
-
-
 def test_scan_extension_depth_changes_verdicts():
     # the cyclic cubic surface over F_3 has hyperplane sections whose singular
     # points are only rational over F_9
@@ -232,8 +221,6 @@ def test_scan_rejects_bad_arguments():
     v = make_cone(5)
     with pytest.raises(ValueError):
         bertini_scan(v, mode="sideways")
-    with pytest.raises(ValueError):
-        bertini_scan(v, workers=0)
     with pytest.raises(ValueError):
         bertini_scan(v, max_ext=0)
     smooth_curve = VarietyDescriptor.build(
@@ -306,6 +293,12 @@ def test_census_half_mass_on_smooth_quadric():
 
 # ---------------------------------------------------------------------------
 # slow oracles: one covector against one point, with FieldElement arithmetic
+
+
+def _incidence_mask(w, pts, spec):
+    """Bit i is set iff the covector w annihilates pts[i]: the bitmask the
+    fold and ``classify`` oracles AND over a tuple's rows."""
+    return sum(1 << i for i, x in enumerate(pts) if not spec.dot_idx(w, x))
 
 
 def annihilates(w, x):
@@ -650,6 +643,52 @@ def test_plane_marks_match_subspace_sweep(v, max_ext):
     assert sections._mark_subspaces(v, max_ext) == sweep_marks(v, max_ext)
 
 
+SMOOTH_CHECK_SURFACES = [make_cone(q) for q in (2, 3, 5, 7)] + [make_cubic_surface(3)]
+
+
+@st.composite
+def smooth_check_cases(draw):
+    """(variety, tuple, max_ext): a random threefold with an s = 1 tuple,
+    whose second row is a multiple of the first a quarter of the time, or an
+    s = 0 tuple on a cone over a prime field or on the cubic surface over
+    F_3, whose sections can fail only over F_9."""
+    if draw(st.booleans()):
+        v, arity = draw(random_threefolds()), 2
+    else:
+        v, arity = draw(st.sampled_from(SMOOTH_CHECK_SURFACES)), 1
+    spec = v.field
+    row = st.tuples(*[st.integers(0, spec.q - 1)] * v.nvars)
+    rows = [draw(row)]
+    if arity == 2:
+        scale = draw(st.integers(0, spec.q - 1))
+        multiple = tuple(spec.mul_idx(scale, c) for c in rows[0])
+        rows.append(multiple if draw(st.integers(0, 3)) == 0 else draw(row))
+    return v, tuple(rows), draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=smooth_check_cases())
+# the first tuple of the cubic surface's scan that fails only over F_9
+@example(case=(SMOOTH_CHECK_SURFACES[-1], ((0, 1, 0, 2),), 2))
+def test_smooth_check_matches_classify_oracle(case):
+    """A one-tuple verdict against ``classify`` on the bitmask oracle, its
+    point count against the FieldElement dot product, and its section count
+    over F_{q^2} against a FieldElement count."""
+    v, rows, max_ext = case
+    gamma = gamma_of(v, *rows)
+    verdict = section_smooth_check(v, gamma, max_ext=max_ext)
+    witness = verdict.witness and tuple(c.idx for c in verdict.witness.coords)
+    if rank_idx(rows, v.field) < len(rows):
+        expected = (SectionClass.DEGENERATE, None, None)
+    else:
+        expected = classify(rows, scan_data(v, max_ext), v.codim + len(rows))
+    assert (verdict.classification, witness, verdict.witness_ext) == expected
+    on = [x for x in rational_points(v) if all(annihilates(w, x) for w in rows)]
+    assert verdict.point_count == len(on)
+    on = [x for x in rational_points(v, 2) if all(annihilates(w, x) for w in rows)]
+    assert section_count(v, gamma, ext=2) == len(on)
+
+
 def count_calls(monkeypatch, names):
     """Counters for calls to the named functions of the sections module."""
     calls = dict.fromkeys(names, 0)
@@ -671,14 +710,14 @@ def count_calls(monkeypatch, names):
     ids=["cone13", "cone5-x2", "cone17"],
 )
 def test_hyperplane_scan_works_from_the_points(monkeypatch, v, max_ext):
-    """An s = 0 scan builds no incidence mask and makes no rank test: it
+    """An s = 0 scan filters no section's points and makes no rank test: it
     reduces the Jacobian once at each point of each level."""
-    calls = count_calls(monkeypatch, ["_incidence_mask", "rank_idx", "echelon_idx"])
+    calls = count_calls(monkeypatch, ["_points_on", "rank_idx", "echelon_idx"])
     points = sum(len(_points_idx(v, e)) for e in range(1, max_ext + 1))
     for mode in ("affine", "projective"):
         calls.update(dict.fromkeys(calls, 0))
-        bertini_scan(v, max_ext=max_ext, mode=mode, workers=2)
-        assert calls == {"_incidence_mask": 0, "rank_idx": 0, "echelon_idx": points}
+        bertini_scan(v, max_ext=max_ext, mode=mode)
+        assert calls == {"_points_on": 0, "rank_idx": 0, "echelon_idx": points}
 
 
 @pytest.mark.parametrize(
@@ -687,11 +726,11 @@ def test_hyperplane_scan_works_from_the_points(monkeypatch, v, max_ext):
     ids=["cone-p4-f3", "cone-p4-f5", "quadric-pair-p5-f2", "cone-p5-f2-s2"],
 )
 def test_subspace_scan_works_from_the_points(monkeypatch, v):
-    """At s >= 1 a level-1 scan classifies no subspace either: no incidence
-    mask, no rank test, and one Jacobian reduction at each point."""
-    calls = count_calls(monkeypatch, ["_incidence_mask", "rank_idx", "echelon_idx"])
+    """At s >= 1 a level-1 scan classifies no subspace either: no section's
+    points filtered, no rank test, and one Jacobian reduction at each point."""
+    calls = count_calls(monkeypatch, ["_points_on", "rank_idx", "echelon_idx"])
     bertini_scan(v, mode="projective")
-    assert calls == {"_incidence_mask": 0, "rank_idx": 0, "echelon_idx": len(_points_idx(v, 1))}
+    assert calls == {"_points_on": 0, "rank_idx": 0, "echelon_idx": len(_points_idx(v, 1))}
 
 
 def test_scan_cone_p4_f5_counts():
@@ -703,13 +742,12 @@ def test_scan_cone_p4_f5_counts():
 
 
 def test_scan_starts_no_process():
-    """A scan asked for two workers runs in this process and never imports
-    multiprocessing."""
+    """A scan runs in this process and never imports multiprocessing."""
     tests = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
     probe = (
         "import sys; from conftest import make_cone_p4; from cisect import bertini_scan; "
-        "bertini_scan(make_cone_p4(5), mode='projective', workers=2); "
+        "bertini_scan(make_cone_p4(5), mode='projective'); "
         "print('multiprocessing' in sys.modules)"
     )
     proc = subprocess.run(

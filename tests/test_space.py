@@ -27,6 +27,13 @@ def test_projective_counts():
     assert count_affine(3, 4) == 81
 
 
+def test_projective_count_closed_form_matches_the_sum():
+    # the sum of r + 1 powers is the oracle; q = 1 counts each power once
+    for q in range(1, 21):
+        for r in range(-2, 31):
+            assert count_projective(q, r) == sum(q**i for i in range(r + 1)), (q, r)
+
+
 def test_affine_enumeration_order():
     # last coordinate varies fastest
     pts = list(iter_affine_idx(2, 2))

@@ -224,6 +224,21 @@ def test_jacobian_rank_at_points():
         jacobian_rank_at(v, ProjPoint((f5.one, f5.zero)))
 
 
+def test_jacobian_rank_at_extension_points():
+    # (1 : a^2 : a : 0) lies on X0*X1 = X2^2 for any a, here one outside F_5
+    v = make_cone(5)
+    f25 = extension_spec(v, 2)
+    a = f25.element((0, 1))
+    assert jacobian_rank_at(v, ProjPoint((f25.one, a * a, a, f25.zero))) == 1
+    assert jacobian_rank_at(v, ProjPoint((f25.zero, f25.zero, f25.zero, f25.one))) == 0
+    # the same coordinates over F_25 = F_5[X]/(X^2 + 2), not the default modulus
+    other = make_field(5, 2, modulus=(2, 0, 1))
+    assert other.modulus != f25.modulus
+    b = other.element((0, 1))
+    with pytest.raises(FieldMismatch):
+        jacobian_rank_at(v, ProjPoint((other.one, b * b, b, other.zero)))
+
+
 def test_parse_variety_round_trip():
     text = (VARIETY_DIR / "cone13.var").read_text()
     v = parse_variety(text)
